@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a single config entry (repeatable)",
     )
     common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--threads", type=int, help="BLAS thread count (0 = all cores)")
     common.add_argument("--out", help="output file or directory (stage-dependent default)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -141,16 +140,7 @@ def _effective_config(args) -> PipelineConfig:
     apply_items(config, pairs)
     if args.seed is not None:
         config.run.seed = args.seed
-    if args.threads is not None:
-        config.run.threads = args.threads
     return config
-
-
-def _apply_threads(threads: int) -> None:
-    # advisory: caps BLAS pools; 0 leaves library defaults (all cores)
-    if threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 def _shape_dir(args) -> str:
@@ -431,11 +421,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _effective_config(args)
-        _apply_threads(config.run.threads)
-        log.info(
-            "%s: seed=%d threads=%d config=%s",
-            args.command, config.run.seed, config.run.threads, config.hash(),
-        )
+        log.info("%s: seed=%d config=%s", args.command, config.run.seed, config.hash())
         return _DISPATCH[args.command](args, config)
     except MatsegError as exc:
         log.error("%s", exc)

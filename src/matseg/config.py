@@ -22,7 +22,6 @@ _FALSE = {"0", "false", "no", "off"}
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 0  # 0 = all cores
 
 
 @dataclass

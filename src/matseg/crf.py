@@ -11,9 +11,12 @@ over pi), geodesic proximity (normalized distance), and detected symmetry
     log phi(l, l') = -W * T[l, l'] * (1 - k)   for l != l'
 
 Inference is damped synchronous mean field; training is gradient ascent on
-the mean-field-approximated log-likelihood. Because every factor couples
-only same-material variables, the model decomposes into independent
-per-material subproblems and is solved that way.
+the mean-field-approximated log-likelihood. Every factor couples only
+same-material variables, so the materials are independent subproblems.
+They are solved as one batch: beliefs form a (face, material) array, and
+each sweep is one sparse product with a per-graph operator that stacks
+every family's k and (1 - k) matrices, the weights entering as
+per-material column coefficients. Each material still stops on its own.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
-from .errors import MissingDataError, MissingUnariesError, OracleSizeError
+from .errors import InterchangeError, MissingDataError, MissingUnariesError, OracleSizeError
 from .geodesics import DistancePair
 from .materials import MATERIALS
 from .mesh import FaceAdjacency, LabeledMesh
@@ -110,7 +113,9 @@ class CrfGraph:
     ``unary`` holds P(C=1) per (material, face), already clamped away from
     0 and 1. ``coeffs`` store the squared coefficient per edge (omega^2,
     d^2, or s^2), each in [0, 1]. ``truth`` optionally carries binary
-    ground-truth labels for training.
+    ground-truth labels for training. Edges and coefficients are fixed
+    once constructed (the sparse coupling operator is built from them);
+    weights may be swapped or updated in place at any time.
     """
 
     materials: tuple[str, ...]
@@ -120,6 +125,7 @@ class CrfGraph:
     coeffs: dict[str, np.ndarray]
     weights: CrfWeights
     truth: np.ndarray | None = None
+    _coupling: "_Coupling" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.materials)
@@ -138,6 +144,7 @@ class CrfGraph:
             self.coeffs[f] = np.clip(c, 0.0, 1.0)
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=np.float64).reshape(m, self.n_faces)
+        self._coupling = _Coupling(self.n_faces, self.edges, self.coeffs)
 
     @property
     def n_materials(self) -> int:
@@ -190,9 +197,14 @@ def build_crf(
     (1 - k).
     """
     positions = np.asarray(sample_positions, dtype=np.float64).reshape(-1, 3)
-    probs = np.asarray(sample_probs, dtype=np.float64).reshape(len(positions), len(materials))
+    probs = np.asarray(sample_probs, dtype=np.float64)
     if len(positions) == 0:
         raise MissingUnariesError("no unary samples provided")
+    if probs.shape != (len(positions), len(materials)):
+        raise MissingUnariesError(
+            f"probabilities of shape {probs.shape} for {len(positions)} samples "
+            f"and {len(materials)} materials"
+        )
     _, nearest = cKDTree(positions).query(mesh.face_centroids())
     unary = probs[nearest].T
 
@@ -221,201 +233,192 @@ def build_crf(
     )
 
 
-def _family_matrices(graph: CrfGraph, family: str):
-    """Sparse (F, F) matrices of k and (1 - k) over the family's edges."""
-    e = graph.edges[family]
-    k = graph.coeffs[family]
-    n = graph.n_faces
-    if len(e) == 0:
-        return None
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    same = csr_matrix((np.concatenate([k, k]), (rows, cols)), shape=(n, n))
-    diff = csr_matrix((np.concatenate([1.0 - k, 1.0 - k]), (rows, cols)), shape=(n, n))
-    return same, diff
+class _Coupling:
+    """Every family's k and (1 - k) matrices side by side in one CSR.
+
+    ``matrix`` is (F, blocks * F), blocks [K_adj | D_adj | K_dist | ...]
+    over the families with edges: K holds k and D holds 1 - k on both
+    orientations of each edge. Built once per graph from its edges and
+    coefficients; weights enter each call as column coefficients.
+    ``row_sums`` (blocks, F) give the products with q0 = 1 - q: K q0 = K 1 - K q.
+    """
+
+    def __init__(self, n: int, edges: dict, coeffs: dict):
+        # 32-bit indices, as scipy stores them when they fit: no 64-bit copies at the peak
+        idx = np.int32 if 2 * len(FAMILIES) * n < 2**31 else np.int64
+        rows, cols, vals = [], [], []
+        for e, k in ((edges[f].astype(idx), coeffs[f]) for f in FAMILIES if len(edges[f])):
+            r, c = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+            for v in (k, 1.0 - k):
+                rows.append(r)
+                cols.append(c + idx(len(vals) * n))
+                vals.append(np.concatenate([v, v]))
+        sums = [np.bincount(r, v, n) for r, v in zip(rows, vals)]
+        self.row_sums = np.reshape(sums, (len(vals), n))
+        data, r, c = (np.concatenate(a) if a else np.zeros(0, idx) for a in (vals, rows, cols))
+        self.matrix = sparse.csr_matrix((data, (r, c)), shape=(n, len(vals) * n), dtype=np.float64)
+
+    def apply(self, coef: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """G = sum_b coef[b] * (block_b @ q) for (F, A) beliefs and (blocks, A)
+        column coefficients, as one sparse-times-dense product."""
+        return self.matrix @ (coef[:, None, :] * q).reshape(-1, q.shape[1])
 
 
-def _material_sweep(q1, log_u0, log_u1, ops):
-    """One synchronous damped update for a single material's beliefs."""
-    q0 = 1.0 - q1
-    r0 = log_u0.copy()
-    r1 = log_u1.copy()
-    for same, diff, w00, w01, w11 in ops:
-        s_q0 = same @ q0
-        s_q1 = same @ q1
-        d_q0 = diff @ q0
-        d_q1 = diff @ q1
-        r0 += -w00 * s_q0 - w01 * d_q1
-        r1 += -w01 * d_q0 - w11 * s_q1
-    # expit is overflow-safe; the clip keeps saturated beliefs off exact
-    # 0/1 so the entropy term stays finite
-    fresh = expit(r1 - r0)
-    mixed = DAMPING * q1 + (1.0 - DAMPING) * fresh
-    return np.clip(mixed, PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _field_terms(graph: CrfGraph):
+    """Weight-dependent terms of the update, one column per material.
+
+    With the q0 products expanded through the row sums, the update's
+    log-odds are ``offset - G`` and the free energy of q is ``const`` plus
+    the sum over faces of ``q (G/2 - offset) + q log q + q0 log q0``. Returns
+    (coef (blocks, M), offset (F, M), const (M,)). All of it is
+    elementwise per material, so a material's beliefs do not depend on
+    which other materials share a batch.
+    """
+    w = graph.weights
+    rs = graph._coupling.row_sums
+    families = [f for f in FAMILIES if len(graph.edges[f])]
+    log_u1 = np.log(graph.unary)
+    log_u0 = np.log(1.0 - graph.unary)
+    coef = np.empty((2 * len(families), graph.n_materials))
+    offset = (log_u1 - log_u0).T
+    const = -log_u0.sum(axis=1)
+    for i, f in enumerate(families):
+        t = w.tables[f]
+        a00 = w.scales[f] * t[:, 0, 0]
+        a01 = w.scales[f] * t[:, 0, 1]
+        coef[2 * i] = a00 + w.scales[f] * t[:, 1, 1]
+        coef[2 * i + 1] = -2.0 * a01
+        offset = offset + rs[2 * i][:, None] * a00 - rs[2 * i + 1][:, None] * a01
+        const = const + 0.5 * rs[2 * i].sum() * a00
+    return coef, offset, const
 
 
-def _material_free_energy(q1, log_u0, log_u1, ops):
-    q0 = 1.0 - q1
-    energy = -(q0 @ log_u0 + q1 @ log_u1)
-    for same, diff, w00, w01, w11 in ops:
-        # each edge appears twice in the symmetric matrices; halve the sums
-        energy += 0.5 * (
-            w00 * (q0 @ (same @ q0))
-            + w11 * (q1 @ (same @ q1))
-            + w01 * (q0 @ (diff @ q1))
-            + w01 * (q1 @ (diff @ q0))
-        )
-    ent = -(q0 * np.log(q0) + q1 * np.log(q1))
-    return float(energy - ent.sum())
-
-
-def _material_ops(graph: CrfGraph, m: int):
-    ops = []
-    for family in FAMILIES:
-        mats = _family_matrices(graph, family)
-        if mats is None:
-            continue
-        same, diff = mats
-        w = graph.weights.scales[family][m]
-        t = graph.weights.tables[family][m]
-        ops.append((same, diff, w * t[0, 0], w * t[0, 1], w * t[1, 1]))
-    return ops
+def _energies(q: np.ndarray, g: np.ndarray, offset: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Free energy per column of (F, A) beliefs, given G of those beliefs."""
+    q0 = 1.0 - q
+    return const + (q * (0.5 * g - offset) + q * np.log(q) + q0 * np.log(q0)).sum(axis=0)
 
 
 def mean_field_infer(graph: CrfGraph, max_iter: int = 200, tol: float = 1e-8) -> Marginals:
-    """Damped synchronous mean-field sweeps, run independently per material.
+    """Damped synchronous mean field over all materials at once.
 
-    Beliefs start at the unaries. Each sweep recomputes every belief from
-    the previous sweep's values and mixes with damping 0.5, stopping when
-    the largest belief change falls below ``tol``. The free-energy trace
-    sums per-material traces, padding materials that stop early with their
-    final value. Non-convergence is reported through the flag, not raised.
+    Beliefs start at the unaries and form one (F, M) array. Each sweep
+    recomputes them from the previous sweep's values with one sparse
+    product and mixes with damping 0.5. A material stops on its own once
+    its largest belief change falls below ``tol`` or after ``max_iter``
+    sweeps, and stays frozen: only moving materials enter the product, so
+    each gets the same bits as on its own. ``sweeps`` is the largest
+    per-material count; ``converged`` holds only if every material
+    converged (non-convergence is reported, not raised). The free-energy
+    trace sums the per-material free energies, a stopped material held at
+    its final value. The energy of a state reuses the product its next
+    sweep needs, so the trace costs one extra product at the end.
     """
-    m_count = graph.n_materials
-    q_out = np.empty_like(graph.unary)
-    traces = []
-    all_converged = True
-    max_sweeps = 0
-    for m in range(m_count):
-        ops = _material_ops(graph, m)
-        log_u1 = np.log(graph.unary[m])
-        log_u0 = np.log(1.0 - graph.unary[m])
-        q1 = graph.unary[m].copy()
-        trace = [_material_free_energy(q1, log_u0, log_u1, ops)]
-        converged = False
-        sweeps = 0
-        for _ in range(max_iter):
-            new = _material_sweep(q1, log_u0, log_u1, ops)
-            delta = float(np.max(np.abs(new - q1))) if len(new) else 0.0
-            q1 = new
-            sweeps += 1
-            trace.append(_material_free_energy(q1, log_u0, log_u1, ops))
-            if delta < tol:
-                converged = True
-                break
-        q_out[m] = q1
-        traces.append(trace)
-        all_converged = all_converged and converged
-        max_sweeps = max(max_sweeps, sweeps)
-
-    total = []
-    for k in range(max_sweeps + 1):
-        total.append(sum(t[min(k, len(t) - 1)] for t in traces))
-    return Marginals(q=q_out, converged=all_converged, sweeps=max_sweeps, free_energy=total)
+    coef, offset, const = _field_terms(graph)
+    q = np.array(graph.unary.T, order="C")
+    out = np.empty_like(q)
+    sweeps = np.zeros(graph.n_materials, dtype=np.int64)
+    converged = np.zeros(graph.n_materials, dtype=bool)
+    energy = np.zeros(graph.n_materials)
+    cols = np.arange(graph.n_materials)
+    trace = []
+    while True:
+        g = graph._coupling.apply(coef, q)
+        energy[cols] = _energies(q, g, offset, const)
+        trace.append(float(energy.sum()))
+        moving = ~converged[cols] & (sweeps[cols] < max_iter)
+        if not moving.all():
+            out[:, cols[~moving]] = q[:, ~moving]
+            cols, q, g = cols[moving], q[:, moving], g[:, moving]
+            coef, offset, const = coef[:, moving], offset[:, moving], const[moving]
+        if not len(cols):
+            break
+        # expit is overflow-safe; the clip keeps saturated beliefs off exact
+        # 0/1 so the entropy term stays finite
+        fresh = expit(offset - g)
+        new = np.clip(DAMPING * q + (1.0 - DAMPING) * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        delta = np.abs(new - q).max(axis=0, initial=0.0)
+        q = new
+        sweeps[cols] += 1
+        converged[cols] = delta < tol
+    q_out = np.ascontiguousarray(out.T)
+    return Marginals(q_out, bool(converged.all()), int(sweeps.max(initial=0)), trace)
 
 
 def free_energy(graph: CrfGraph, q: np.ndarray) -> float:
     """Variational free energy E_q[energy] - H(q) of factorized beliefs q."""
     q = np.clip(np.asarray(q, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    total = 0.0
-    for m in range(graph.n_materials):
-        ops = _material_ops(graph, m)
-        total += _material_free_energy(
-            q[m], np.log(1.0 - graph.unary[m]), np.log(graph.unary[m]), ops
-        )
-    return total
+    q = np.array(q.reshape(graph.n_materials, graph.n_faces).T, order="C")
+    coef, offset, const = _field_terms(graph)
+    return float(_energies(q, graph._coupling.apply(coef, q), offset, const).sum())
+
+
+def _pair_stats(graph: CrfGraph, family: str, values: np.ndarray):
+    """Per-row edge sums of k * [both 0], k * [both 1] and (1 - k) * [differ].
+
+    Rows of ``values`` are binary labelings or factorized beliefs (one
+    row per material, or per enumerated assignment); for beliefs the
+    indicators become their expectations q_a q_b and so on.
+    """
+    e = graph.edges[family]
+    k = graph.coeffs[family]
+    va = values[:, e[:, 0]]
+    vb = values[:, e[:, 1]]
+    both1 = va * vb
+    both0 = (1.0 - va) * (1.0 - vb)
+    differ = va * (1.0 - vb) + (1.0 - va) * vb
+    return both0 @ k, both1 @ k, differ @ (1.0 - k)
+
+
+def _log_scores(graph: CrfGraph, values: np.ndarray, m=slice(None)) -> np.ndarray:
+    """Log unnormalized probability of each row of binary ``values``.
+
+    By default row i is material i's labeling; with an integer ``m`` every
+    row is a labeling of material m, scored with its unaries and weights.
+    """
+    u = graph.unary[m]
+    scores = np.einsum("...f,...f->...", values, np.log(u))
+    scores += np.einsum("...f,...f->...", 1.0 - values, np.log(1.0 - u))
+    for family in FAMILIES:
+        s00, s11, s01 = _pair_stats(graph, family, values)
+        w = graph.weights.scales[family][m]
+        t = graph.weights.tables[family][m]
+        scores -= w * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
+    return scores
 
 
 def assignment_scores(graph: CrfGraph, labels: np.ndarray) -> np.ndarray:
     """Per-material log of the unnormalized probability of a binary labeling."""
     labels = np.asarray(labels, dtype=np.float64).reshape(graph.n_materials, graph.n_faces)
-    scores = (labels * np.log(graph.unary) + (1.0 - labels) * np.log(1.0 - graph.unary)).sum(axis=1)
-    for family in FAMILIES:
-        e = graph.edges[family]
-        if len(e) == 0:
-            continue
-        k = graph.coeffs[family]
-        w = graph.weights.scales[family]
-        t = graph.weights.tables[family]
-        la = labels[:, e[:, 0]]
-        lb = labels[:, e[:, 1]]
-        both1 = la * lb
-        both0 = (1.0 - la) * (1.0 - lb)
-        differ = 1.0 - both1 - both0
-        scores += -(
-            (w * t[:, 0, 0])[:, None] * both0 * k
-            + (w * t[:, 1, 1])[:, None] * both1 * k
-            + (w * t[:, 0, 1])[:, None] * differ * (1.0 - k)
-        ).sum(axis=1)
-    return scores
+    return _log_scores(graph, labels)
 
 
 def _enumerate_material(graph: CrfGraph, m: int):
-    """Log unnormalized score of every joint assignment for one material."""
-    f = graph.n_faces
-    bits = (np.arange(2**f, dtype=np.int64)[:, None] >> np.arange(f)) & 1
-    bits = bits.astype(np.float64)
-    logp = bits @ np.log(graph.unary[m]) + (1.0 - bits) @ np.log(1.0 - graph.unary[m])
-    for family in FAMILIES:
-        e = graph.edges[family]
-        if len(e) == 0:
-            continue
-        k = graph.coeffs[family]
-        w = graph.weights.scales[family][m]
-        t = graph.weights.tables[family][m]
-        la = bits[:, e[:, 0]]
-        lb = bits[:, e[:, 1]]
-        both1 = la * lb
-        both0 = (1.0 - la) * (1.0 - lb)
-        differ = 1.0 - both1 - both0
-        logp += -(
-            w * t[0, 0] * both0 * k + w * t[1, 1] * both1 * k + w * t[0, 1] * differ * (1.0 - k)
-        ).sum(axis=1)
-    return bits, logp
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    hi = float(np.max(x))
-    return hi + float(np.log(np.sum(np.exp(x - hi))))
-
-
-def brute_force_marginals(graph: CrfGraph) -> Marginals:
-    """Exact marginals by enumeration; refuses more than 20 binary variables."""
+    """Log unnormalized score of every joint assignment for one material;
+    refuses graphs of more than 20 binary variables."""
     if graph.n_variables > _ORACLE_LIMIT:
         raise OracleSizeError(
             f"{graph.n_variables} variables exceed the enumeration limit of {_ORACLE_LIMIT}"
         )
+    f = graph.n_faces
+    bits = (np.arange(2**f, dtype=np.int64)[:, None] >> np.arange(f)) & 1
+    bits = bits.astype(np.float64)
+    return bits, _log_scores(graph, bits, m)
+
+
+def brute_force_marginals(graph: CrfGraph) -> Marginals:
+    """Exact marginals by enumeration; refuses more than 20 binary variables."""
     q = np.empty_like(graph.unary)
     for m in range(graph.n_materials):
         bits, logp = _enumerate_material(graph, m)
-        log_z = _logsumexp(logp)
-        p = np.exp(logp - log_z)
-        q[m] = p @ bits
+        q[m] = np.exp(logp - logsumexp(logp)) @ bits
     return Marginals(q=q, converged=True, sweeps=0)
 
 
 def exact_log_likelihood(graph: CrfGraph, labels: np.ndarray) -> float:
     """log P(labels) with the partition function computed by enumeration."""
-    if graph.n_variables > _ORACLE_LIMIT:
-        raise OracleSizeError(
-            f"{graph.n_variables} variables exceed the enumeration limit of {_ORACLE_LIMIT}"
-        )
-    scores = assignment_scores(graph, labels)
-    total = 0.0
-    for m in range(graph.n_materials):
-        _, logp = _enumerate_material(graph, m)
-        total += scores[m] - _logsumexp(logp)
-    return float(total)
+    log_z = [logsumexp(_enumerate_material(graph, m)[1]) for m in range(graph.n_materials)]
+    return float(np.sum(assignment_scores(graph, labels) - log_z))
 
 
 @dataclass
@@ -442,45 +445,18 @@ def predict_labels(marginals: Marginals, threshold: float = 0.5) -> PredictedLab
     return PredictedLabels(top1=top1.astype(np.int64), label_sets=sets)
 
 
-def _pair_stats(graph: CrfGraph, family: str, values: np.ndarray):
-    """Expected (or observed) edge statistics under factorized values."""
-    e = graph.edges[family]
-    k = graph.coeffs[family]
-    va = values[:, e[:, 0]]
-    vb = values[:, e[:, 1]]
-    both1 = va * vb
-    both0 = (1.0 - va) * (1.0 - vb)
-    differ = va * (1.0 - vb) + (1.0 - va) * vb
-    return both0, both1, differ, k
-
-
 def _score_gradient(graph: CrfGraph, values: np.ndarray):
     """Gradient of the assignment score wrt every weight, with pairwise terms
     factorized through ``values`` (exact for binary labels)."""
     g_scales = {}
     g_tables = {}
-    w = graph.weights
     for family in FAMILIES:
-        m_count = graph.n_materials
-        if len(graph.edges[family]) == 0:
-            g_scales[family] = np.zeros(m_count)
-            g_tables[family] = np.zeros((m_count, 2, 2))
-            continue
-        both0, both1, differ, k = _pair_stats(graph, family, values)
-        t = w.tables[family]
-        scale = w.scales[family]
-        g_scales[family] = -(
-            t[:, 0, 0][:, None] * both0 * k
-            + t[:, 1, 1][:, None] * both1 * k
-            + t[:, 0, 1][:, None] * differ * (1.0 - k)
-        ).sum(axis=1)
-        g = np.zeros((m_count, 2, 2))
-        g[:, 0, 0] = -scale * (both0 * k).sum(axis=1)
-        g[:, 1, 1] = -scale * (both1 * k).sum(axis=1)
-        off = -scale * (differ * (1.0 - k)).sum(axis=1)
-        g[:, 0, 1] = off
-        g[:, 1, 0] = off
-        g_tables[family] = g
+        s00, s11, s01 = _pair_stats(graph, family, values)
+        t = graph.weights.tables[family]
+        scale = graph.weights.scales[family]
+        g_scales[family] = -(t[:, 0, 0] * s00 + t[:, 1, 1] * s11 + t[:, 0, 1] * s01)
+        stats = np.stack([s00, s01, s01, s11], axis=-1).reshape(-1, 2, 2)
+        g_tables[family] = -scale[:, None, None] * stats
     return g_scales, g_tables
 
 
@@ -559,19 +535,42 @@ def save_sample_probs(path: str, probs: np.ndarray, materials=MATERIALS) -> None
 
 
 def load_sample_probs(path: str, materials=MATERIALS) -> np.ndarray:
+    """Read sample probability lines back as an (n, materials) array.
+
+    Sample indices must be exactly 0..n-1, and every material needs a
+    probability that is a finite number in [0, 1]; anything else raises
+    InterchangeError naming the file (and the line, where there is one).
+    """
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            rows[int(rec["sample_index"])] = [rec["probs"][name] for name in materials]
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InterchangeError(path, f"invalid JSON: {exc.msg}", lineno) from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("probs"), dict):
+                raise InterchangeError(path, "expected {sample_index, probs: {...}}", lineno)
+            index = rec.get("sample_index")
+            if type(index) is not int or index in rows:
+                raise InterchangeError(path, f"bad or repeated sample_index {index!r}", lineno)
+            row = [rec["probs"].get(name) for name in materials]
+            for name, p in zip(materials, row):
+                # bool is an int subclass; NaN and infinities fail the range test
+                if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
+                    raise InterchangeError(
+                        path, f"probability of {name!r} is {p!r}, not a number in [0, 1]", lineno
+                    )
+            rows[index] = row
     if not rows:
         raise MissingUnariesError(f"no unary records in {path}")
-    out = np.zeros((max(rows) + 1, len(materials)))
-    for i, row in rows.items():
-        out[i] = row
-    return out
+    missing = sorted(set(range(len(rows))) - rows.keys())
+    if missing:
+        raise InterchangeError(
+            path, f"sample indices are not 0..{len(rows) - 1}: {missing[0]} is missing"
+        )
+    return np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
 
 
 def save_face_predictions(

@@ -26,7 +26,18 @@ class DegenerateGeometryError(MatsegError):
 
 
 class MissingUnariesError(MatsegError):
-    """CRF construction was given no unary samples."""
+    """CRF construction was given no unary samples, or not one row per sample."""
+
+
+class InterchangeError(MatsegError):
+    """An interchange file is malformed or inconsistent; names the file and,
+    where one is to blame, the line."""
+
+    def __init__(self, path: str, message: str, line: int | None = None):
+        where = path if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {message}")
+        self.path = path
+        self.line = line
 
 
 class MissingDataError(MatsegError):

@@ -152,3 +152,31 @@ def test_cli_sample_then_infer_smoke(tmp_path):
              (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(preds) == load_obj(str(out / "mesh.obj")).n_faces
     assert all(set(p) >= {"face", "top1", "label_set", "marginals"} for p in preds)
+
+
+@pytest.mark.parametrize("damage, message", [
+    # the file ends early on a line boundary: fewer rows than samples
+    (lambda lines: lines[:-5], "probabilities of shape (25, 5) for 30 samples"),
+    # one line deleted from the middle: indices skip a sample
+    (lambda lines: lines[:12] + lines[13:], "not 0..28: 12 is missing"),
+    # the file ends in the middle of a line
+    (lambda lines: lines[:-1] + [lines[-1][:17]], "line 30: invalid JSON"),
+])
+def test_cli_infer_rejects_damaged_probabilities(tmp_path, caplog, damage, message):
+    from matseg.crf import save_sample_probs
+
+    spec = write_spec(tmp_path)
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", spec, "--out", str(out)]) == 0
+    assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "30",
+                     "--seed", "0"]) == 0
+    probs = out / "sample_probs.jsonl"
+    save_sample_probs(str(probs), np.full((30, 5), 0.2))
+    lines = probs.read_text(encoding="utf-8").splitlines()
+    probs.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert cli.main(["infer", "--shape", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not (out / "predictions.jsonl").exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matseg.crf import (
     CrfGraph,
@@ -23,7 +25,12 @@ from matseg.crf import (
     save_sample_probs,
     train_crf,
 )
-from matseg.errors import MissingDataError, MissingUnariesError, OracleSizeError
+from matseg.errors import (
+    InterchangeError,
+    MissingDataError,
+    MissingUnariesError,
+    OracleSizeError,
+)
 from matseg.materials import MATERIALS
 from matseg.mesh import attach_labels, compute_adjacency
 
@@ -243,6 +250,82 @@ def test_material_decomposition_bitwise():
         assert np.array_equal(got.q[mi], alone.q[0])
 
 
+def material_subgraph(graph, mi):
+    """Material ``mi`` of ``graph`` as a one-material graph."""
+    w = graph.weights
+    sub_w = CrfWeights(
+        (graph.materials[mi],),
+        {f: w.scales[f][mi : mi + 1] for f in FAMILIES},
+        {f: w.tables[f][mi : mi + 1] for f in FAMILIES},
+    )
+    return CrfGraph(materials=(graph.materials[mi],), n_faces=graph.n_faces,
+                    unary=graph.unary[mi : mi + 1].copy(),
+                    edges={k: v.copy() for k, v in graph.edges.items()},
+                    coeffs={k: v.copy() for k, v in graph.coeffs.items()}, weights=sub_w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_mat=st.integers(2, 5), n_faces=st.integers(2, 9))
+def test_batched_inference_matches_per_material_runs(seed, n_mat, n_faces):
+    from conftest_crf import random_graph
+
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_faces, MATERIALS[:n_mat])
+    assert all(len(g.edges[f]) for f in FAMILIES)
+    # per-material scales spread the sweep counts; tables stay symmetric
+    for fam in FAMILIES:
+        g.weights.scales[fam][:] = rng.uniform(0.0, 3.0, size=n_mat)
+        off = rng.uniform(0.0, 2.0, size=n_mat)
+        g.weights.tables[fam][:, 0, 0] = rng.uniform(0.0, 2.0, size=n_mat)
+        g.weights.tables[fam][:, 1, 1] = rng.uniform(0.0, 2.0, size=n_mat)
+        g.weights.tables[fam][:, 0, 1] = g.weights.tables[fam][:, 1, 0] = off
+    subs = [material_subgraph(g, mi) for mi in range(n_mat)]
+    natural = [mean_field_infer(sub, max_iter=400).sweeps for sub in subs]
+    # the cap below the slowest material's count stops it at max_iter
+    for cap in (max(natural) - 1, 400):
+        got = mean_field_infer(g, max_iter=cap)
+        alone = [mean_field_infer(sub, max_iter=cap) for sub in subs]
+        for mi, run in enumerate(alone):
+            assert np.array_equal(got.q[mi], run.q[0])
+        assert got.sweeps == max(run.sweeps for run in alone)
+        assert got.converged == all(run.converged for run in alone)
+        padded = [sum(run.free_energy[min(k, len(run.free_energy) - 1)] for run in alone)
+                  for k in range(got.sweeps + 1)]
+        assert len(got.free_energy) == len(padded)
+        assert np.max(np.abs(np.array(got.free_energy) - padded)) < 1e-9
+        assert abs(got.free_energy[-1] - free_energy(g, got.q)) < 1e-9
+        if cap < max(natural):
+            assert not got.converged and got.sweeps == cap
+
+
+def test_cached_operator_follows_weight_updates():
+    from conftest_crf import random_graph
+
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, 7, ("wood", "metal", "glass"))
+    before = mean_field_infer(g)
+
+    def fresh_graph():
+        return CrfGraph(materials=g.materials, n_faces=g.n_faces, unary=g.unary.copy(),
+                        edges={k: v.copy() for k, v in g.edges.items()},
+                        coeffs={k: v.copy() for k, v in g.coeffs.items()},
+                        weights=g.weights.copy())
+
+    # train_crf first swaps in a shared weight object, then steps it in place
+    g.weights = CrfWeights.ones(g.materials)
+    g.weights.scales["dist"][:] = [0.2, 2.5, 1.1]
+    swapped = mean_field_infer(g)
+    assert not np.array_equal(swapped.q, before.q)
+    g.weights.scales["adj"] += 0.75
+    g.weights.tables["sym"][:, 0, 1] += 0.5
+    g.weights.tables["sym"][:, 1, 0] += 0.5
+    for got in (mean_field_infer(g), mean_field_infer(g)):
+        want = mean_field_infer(fresh_graph())
+        assert np.array_equal(got.q, want.q)
+        assert got.free_energy == want.free_energy
+        assert not np.array_equal(got.q, swapped.q)
+
+
 def test_monotone_smoothing_with_scale():
     unary = np.array([
         [0.7, 0.6, 0.45, 0.55, 0.4, 0.65],
@@ -372,6 +455,36 @@ def test_sample_probs_round_trip(tmp_path):
     empty.write_text("")
     with pytest.raises(MissingUnariesError):
         load_sample_probs(str(empty))
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda lines: lines[:3] + [lines[3][:20]], "line 4"),  # cut mid-line
+    (lambda lines: lines[:2] + lines[3:], "2 is missing"),
+    (lambda lines: lines + [lines[0]], "line 7"),  # repeated index
+    (lambda lines: [lines[0].replace("0.", "NaN, \"x\": 0.", 1)] + lines[1:], "line 1"),
+    (lambda lines: lines[:1] + [lines[1].replace('"glass"', '"sand"')] + lines[2:], "line 2"),
+    (lambda lines: lines[:5] + [lines[5].replace('"sample_index": 5', '"sample_index": 5.0')],
+     "line 6"),
+    (lambda lines: lines[:5] + ['{"sample_index": 5, "probs": {"wood": 1.5}}'], "line 6"),
+    (lambda lines: lines[:5] + ['{"sample_index": 5, "probs": [0.5]}'], "line 6"),
+])
+def test_load_sample_probs_rejects_bad_files(tmp_path, mutate, where):
+    path = tmp_path / "probs.jsonl"
+    save_sample_probs(str(path), np.full((6, 5), 0.2))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(mutate(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(InterchangeError) as exc:
+        load_sample_probs(str(path))
+    assert str(path) in str(exc.value)
+    assert where in str(exc.value)
+
+
+def test_build_crf_requires_one_row_per_sample(cube):
+    positions = np.array([[0.5, 1.0, 0.5], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    with pytest.raises(MissingUnariesError):
+        build_crf(cube, positions, np.full((2, 5), 0.2))
+    with pytest.raises(MissingUnariesError):
+        build_crf(cube, positions, np.full((3, 4), 0.2))
 
 
 def test_face_predictions_round_trip(tmp_path):
