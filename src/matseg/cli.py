@@ -32,7 +32,7 @@ from .crf import (
     train_crf,
 )
 from .descriptor import DescriptorNet, extract_features, label_matrix, predict_probs, train_descriptor
-from .errors import ConfigError, MatsegError
+from .errors import ConfigError, InterchangeError, MatsegError
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
 from .materials import MATERIALS
@@ -180,18 +180,33 @@ def write_face_truth(path: str, mesh) -> None:
 
 
 def read_face_truth(path: str, materials=MATERIALS) -> np.ndarray:
+    """Read truth lines back as a (faces, materials) 0/1 array in face order.
+
+    Invalid JSON, a line without an integer ``face`` and a ``labels`` list,
+    or a label outside ``materials`` raises InterchangeError naming the file
+    and line.
+    """
     index = {name: i for i, name in enumerate(materials)}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    rows.sort(key=lambda r: r["face"])
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InterchangeError(path, f"invalid JSON: {exc.msg}", lineno) from None
+            if (not isinstance(rec, dict) or type(rec.get("face")) is not int
+                    or not isinstance(rec.get("labels"), list)):
+                raise InterchangeError(path, "expected {face: int, labels: [...]}", lineno)
+            unknown = [n for n in rec["labels"] if not isinstance(n, str) or n not in index]
+            if unknown:
+                raise InterchangeError(path, f"unknown material {unknown[0]!r}", lineno)
+            rows.append((rec["face"], [index[name] for name in rec["labels"]]))
+    rows.sort(key=lambda r: r[0])
     truth = np.zeros((len(rows), len(materials)))
-    for i, rec in enumerate(rows):
-        for name in rec["labels"]:
-            truth[i, index[name]] = 1.0
+    for i, (_, labels) in enumerate(rows):
+        truth[i, labels] = 1.0
     return truth
 
 

@@ -301,7 +301,7 @@ class PairSampler:
     Positives cycle the 5 same-material combinations; negatives cycle the
     10 unordered distinct-material combinations. A drawn negative whose two
     samples share any ground-truth label is rejected and redrawn; after
-    1000 rejections the combination is skipped with a warning.
+    1000 rejections the combination is skipped and counted in ``skipped``.
     """
 
     MAX_REJECTS = 1000
@@ -316,6 +316,7 @@ class PairSampler:
         self.neg_combos = [(a, b) for a in range(m) for b in range(a + 1, m)]
         self._pos_at = 0
         self._neg_at = 0
+        self.skipped = 0
 
     def _draw_positive(self, m: int):
         pool = self.by_material[m]
@@ -353,11 +354,7 @@ class PairSampler:
                 pair = self._draw_negative(*combo)
             produced += 1
             if pair is None:
-                warnings.warn(
-                    f"could not draw a {'positive' if want_positive else 'negative'} "
-                    f"pair for combination {combo}; skipping",
-                    stacklevel=2,
-                )
+                self.skipped += 1
                 continue
             idx_a.append(pair[0])
             idx_b.append(pair[1])
@@ -492,6 +489,12 @@ def train_descriptor(
             for k in totals:
                 totals[k] += parts[k]
         trace.append({k: v / steps_per_epoch for k, v in totals.items()})
+    if sampler.skipped:
+        warnings.warn(
+            f"skipped {sampler.skipped} of {epochs * steps_per_epoch * pairs_per_step} "
+            "pair draws: their material combination has no valid pair",
+            stacklevel=2,
+        )
     return net, trace
 
 

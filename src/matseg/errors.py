@@ -21,6 +21,10 @@ class UnknownComponentError(MatsegError):
     """A label document references a component the mesh does not have."""
 
 
+class NonFiniteGeometryError(MatsegError):
+    """A vertex coordinate is NaN or infinite."""
+
+
 class DegenerateGeometryError(MatsegError):
     """Point set is too degenerate (rank < 2) for rigid registration."""
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMeshError, MalformedObjError, UnknownComponentError
+from .errors import EmptyMeshError, MalformedObjError, NonFiniteGeometryError, UnknownComponentError
 from .materials import MaterialLabelSet
 
 logger = logging.getLogger(__name__)
@@ -84,6 +85,9 @@ def build_mesh(
     face_component = np.asarray(face_component, dtype=np.int64)
     if len(faces) == 0:
         raise EmptyMeshError("mesh has no faces")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise NonFiniteGeometryError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     if faces.min() < 0 or faces.max() >= len(vertices):
         raise MalformedObjError("face references a vertex out of range", line=0)
     if len(face_component) != len(faces):
@@ -188,9 +192,12 @@ def load_obj(path: str) -> LabeledMesh:
                 if len(parts) < 4:
                     raise MalformedObjError("vertex needs 3 coordinates", lineno)
                 try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                    xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
                 except ValueError:
                     raise MalformedObjError("bad vertex coordinate", lineno) from None
+                if not all(map(math.isfinite, xyz)):
+                    raise MalformedObjError("non-finite vertex coordinate", lineno)
+                vertices.append(xyz)
             elif tag == "g" or tag == "o":
                 name = " ".join(parts[1:]) if len(parts) > 1 else "default"
                 current = component_id(name)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
+from .config import SymmetryConfig
 from .errors import DegenerateGeometryError
 from .mesh import UPRIGHT_AXIS, LabeledMesh
 
-DEFAULT_SAMPLES_PER_COMPONENT = 256
-DEFAULT_RMSD_THRESHOLD = 0.02
-DEFAULT_RESIDUAL_CUTOFF = 0.1
 _N_INIT_ROTATIONS = 8
 # dense target clouds keep the nearest-neighbor rmsd floor of a correct
 # match well below the acceptance gate
@@ -30,6 +30,12 @@ _TRIVIAL_ANGLE = math.radians(2.0)
 _CLUSTER_ANGLE = math.radians(5.0)
 _CLUSTER_AXIS = math.radians(5.0)
 _CLUSTER_TRANSLATION = 0.05
+# moved points queried before the rest in the arrangement check; their
+# squared distances alone can already rule a target out
+_EARLY_POINTS = 32
+# the dense refit stops once a step moves the bounding sphere by less
+_REFIT_STEP = 1e-9
+_REFIT_MAX_ITER = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +164,6 @@ def _kabsch(src: np.ndarray, dst: np.ndarray, det_sign: float):
     return r, t
 
 
-def _rmsd(points: np.ndarray, tree: cKDTree) -> float:
-    dist, _ = tree.query(points)
-    return float(np.sqrt(np.mean(dist * dist)))
-
-
 def _icp(source, target, tree, init, max_iter, tol, abandon=None):
     det_sign = init.det
     r = init.rotation
@@ -182,6 +183,41 @@ def _icp(source, target, tree, init, max_iter, tol, abandon=None):
         if done:
             break
     return RigidTransform(r, t), rmsd
+
+
+def _refit(source, target, normals, tree, init, max_iter, center, radius):
+    """Point-to-plane ICP (Rusinkiewicz & Levoy 2001) from ``init``.
+
+    Each step linearizes the rotation, solves for the small motion (w, v)
+    that best slides the moved source onto the tangent planes of its
+    nearest targets, and applies it as ``R <- dR R, t <- dR t + v`` with
+    dR the exact rotation by w, so a reflection stays a reflection. The
+    minimum-norm solve leaves a free direction (a round top spun about its
+    axis) at the start's value. Stops when a step moves the bounding sphere
+    by less than _REFIT_STEP * radius. Returns the transform and its
+    point-to-point rmsd.
+    """
+    r = init.rotation
+    t = init.translation
+    moved = source @ r.T + t
+    dist, idx = tree.query(moved)
+    for _ in range(max_iter):
+        n = normals[idx]
+        # columns scaled to the radius so the solve does not depend on units
+        a = np.hstack([np.cross(moved, n) / radius, n])
+        b = np.einsum("ij,ij->i", target[idx] - moved, n)
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        w, v = x[:3] / radius, x[3:]
+        dr = Rotation.from_rotvec(w).as_matrix()
+        r = dr @ r
+        t = dr @ t + v
+        moved = source @ r.T + t
+        dist, idx = tree.query(moved)
+        # bound on how far any point of the bounding sphere moved this step
+        shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
+        if shift < _REFIT_STEP * radius:
+            break
+    return RigidTransform(r, t), float(np.sqrt(np.mean(dist * dist)))
 
 
 def icp_align(
@@ -210,17 +246,31 @@ def icp_align(
     return _icp(src, dst, tree, init, max_iter, tol)
 
 
-def _component_cloud(mesh: LabeledMesh, comp: int, n: int, rng) -> np.ndarray:
+def _component_cloud(mesh: LabeledMesh, comp: int, n: int, rng):
+    """n area-weighted surface samples of a component and the face of each."""
     faces = mesh.component_faces(comp)
     areas = mesh.face_areas[faces]
     total = float(areas.sum())
     if total <= 0.0 or len(faces) == 0:
-        return np.zeros((0, 3))
+        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
     pick = rng.choice(faces, size=n, p=areas / total)
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
     bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
-    return np.einsum("ik,ikj->ij", bary, mesh.vertices[mesh.faces[pick]])
+    return np.einsum("ik,ikj->ij", bary, mesh.vertices[mesh.faces[pick]]), pick
+
+
+def _signature(cloud: np.ndarray) -> np.ndarray:
+    """Sorted square roots of the PCA eigenvalues: the cloud's extent along
+    its principal axes, unchanged by any rotation or reflection."""
+    cov = np.cov(cloud, rowvar=False)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(cov), 0.0, None))
+
+
+def _congruent(a: np.ndarray, b: np.ndarray, accept: float) -> bool:
+    """Signatures close enough, axis by axis, that the clouds may fit under
+    the rmsd gate; a gross mismatch cannot, so it skips the fits."""
+    return bool(np.all(np.abs(a - b) <= np.maximum(0.25 * np.maximum(a, b), 2.0 * accept)))
 
 
 def _axis_mirror(axis: int, center: np.ndarray) -> RigidTransform:
@@ -259,23 +309,25 @@ def _same_cluster(a: RigidTransform, b: RigidTransform, radius: float) -> bool:
 
 def detect_symmetries(
     mesh: LabeledMesh,
-    samples_per_component: int = DEFAULT_SAMPLES_PER_COMPONENT,
-    rmsd_threshold: float = DEFAULT_RMSD_THRESHOLD,
+    samples_per_component: int = SymmetryConfig.samples_per_component,
+    rmsd_threshold: float = SymmetryConfig.rmsd_threshold,
     seed: int = 0,
-    max_iter: int = 40,
+    max_iter: int = SymmetryConfig.max_iter,
 ) -> list[DetectedSymmetry]:
     """Find rotational and reflective symmetries between components.
 
-    Every ordered component pair (including self pairs) is tested under
-    four variants: direct, and mirrored across each axis-aligned plane
-    through the bounding-sphere center. Each variant runs ICP from 8
-    rotations about the upright axis; fits with rmsd below
-    ``rmsd_threshold * bounding_radius`` are kept, near-identity and
-    translation-only fits discarded, and the survivors clustered by
+    Every component pair i <= j (including self pairs) whose principal
+    extents agree is tested under four variants: direct, and mirrored
+    across each axis-aligned plane through the bounding-sphere center. Each
+    variant runs ICP from 8 rotations about the upright axis; fits with
+    rmsd below ``rmsd_threshold * bounding_radius`` are kept, and for
+    i < j their inverses stand for the pair (j, i). Near-identity and
+    translation-only fits are discarded, and the survivors clustered by
     angle/axis/translation proximity into distinct transforms. A cluster
     survives only if its transform maps every component onto matching
     geometry, so congruences private to one pair (a cylindrical leg spun
-    onto itself) do not count as shape symmetries.
+    onto itself) do not count as shape symmetries. Each surviving pair is
+    then refitted point-to-plane on the dense clouds and clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -284,11 +336,14 @@ def detect_symmetries(
 
     sources = []
     targets = []
+    normals = []
     for c in range(n_comp):
-        sources.append(_component_cloud(mesh, c, samples_per_component, rng))
-        targets.append(
-            _component_cloud(mesh, c, _TARGET_DENSITY * samples_per_component, rng)
+        sources.append(_component_cloud(mesh, c, samples_per_component, rng)[0])
+        cloud, faces = _component_cloud(
+            mesh, c, _TARGET_DENSITY * samples_per_component, rng
         )
+        targets.append(cloud)
+        normals.append(mesh.face_normals[faces])
 
     variants = [RigidTransform.identity()] + [
         _axis_mirror(axis, center) for axis in range(3)
@@ -297,49 +352,41 @@ def detect_symmetries(
     tol = 1e-9 * radius
     accept = rmsd_threshold * radius
 
-    spreads = [
-        float(np.linalg.norm(c - c.mean(axis=0), axis=1).mean()) if len(c) else 0.0
-        for c in sources
-    ]
-
-    trees = [cKDTree(t) if len(t) else None for t in targets]
+    trees = [cKDTree(t) if len(t) >= 3 else None for t in targets]
+    signatures = [None if tree is None else _signature(t) for t, tree in zip(targets, trees)]
     tgt_centroids = [t.mean(axis=0) if len(t) else None for t in targets]
 
+    def congruent(i: int, j: int) -> bool:
+        return _congruent(signatures[i], signatures[j], accept)
+
     # mirroring the source cloud instead of the target keeps one tree per
-    # target component serving all four variants
+    # target component serving all four variants. Only pairs i <= j are
+    # fitted: a fit of i onto j inverted is a fit of j onto i.
     candidates: list[tuple[RigidTransform, int, int, float]] = []
     for i in range(n_comp):
-        if len(sources[i]) < 3:
+        if len(sources[i]) < 3 or trees[i] is None:
             continue
         for variant in variants:
             src = variant.apply(sources[i])
             src_centroid = src.mean(axis=0)
-            for j in range(n_comp):
-                if len(targets[j]) < 3:
-                    continue
-                # congruent components have matching cloud spreads; a gross
-                # mismatch cannot fit under the rmsd gate, so skip the ICP runs
-                gap = abs(spreads[i] - spreads[j])
-                if gap > max(0.25 * max(spreads[i], spreads[j]), 2.0 * accept):
+            for j in range(i, n_comp):
+                if trees[j] is None or not congruent(i, j):
                     continue
                 for angle in angles:
                     r0 = _y_rotation(angle)
                     init = RigidTransform(r0, tgt_centroids[j] - r0 @ src_centroid)
-                    try:
-                        # coarse tolerance: candidates only need to land in
-                        # the right cluster, the refinement pass repolishes
-                        fit, rmsd = _icp(
-                            src, targets[j], trees[j], init, max_iter,
-                            max(tol, 0.02 * accept), abandon=3.0 * accept,
-                        )
-                    except DegenerateGeometryError:
-                        continue
+                    # coarse tolerance: candidates only need to land in the
+                    # right cluster, the refinement pass repolishes
+                    fit, rmsd = _icp(
+                        src, targets[j], trees[j], init, max_iter,
+                        max(tol, 0.02 * accept), abandon=3.0 * accept,
+                    )
                     full = fit.compose(variant)
-                    if rmsd >= accept:
-                        continue
-                    if _is_trivial(full):
+                    if rmsd >= accept or _is_trivial(full):
                         continue
                     candidates.append((full, i, j, rmsd))
+                    if i < j:
+                        candidates.append((full.inverse(), j, i, rmsd))
 
     syms = _cluster(candidates, radius)
     if not syms:
@@ -350,7 +397,7 @@ def detect_symmetries(
     # of the shape; keep only transforms that map every component onto
     # matching geometry
     keep = {
-        cid: _maps_arrangement(rep, sources, trees, spreads, accept)
+        cid: _maps_arrangement(rep, sources, trees, congruent, accept)
         for cid, rep in unique_transforms(syms).items()
     }
     syms = [s for s in syms if keep[s.transform_id]]
@@ -363,16 +410,13 @@ def detect_symmetries(
     refit: list[tuple[RigidTransform, int, int, float]] = []
     for s in syms:
         j = s.target_component
-        try:
-            fit, rmsd = _icp(
-                targets[s.source_component], targets[j], trees[j],
-                s.transform, min(max_iter, 12), tol,
-            )
-        except DegenerateGeometryError:
-            fit, rmsd = s.transform, s.rmsd
+        fit, rmsd = _refit(
+            targets[s.source_component], targets[j], normals[j], trees[j],
+            s.transform, min(max_iter, _REFIT_MAX_ITER), center, radius,
+        )
         if rmsd >= accept or _is_trivial(fit):
             continue
-        refit.append((fit, s.source_component, s.target_component, rmsd))
+        refit.append((fit, s.source_component, j, rmsd))
     return _cluster(refit, radius)
 
 
@@ -380,24 +424,32 @@ def _maps_arrangement(
     t: RigidTransform,
     sources: list[np.ndarray],
     trees: list[cKDTree | None],
-    spreads: list[float],
+    congruent: Callable[[int, int], bool],
     accept: float,
 ) -> bool:
+    """Whether ``t`` takes every component's cloud onto some congruent
+    component with rmsd under ``accept``.
+
+    The first _EARLY_POINTS moved points are queried alone: once their
+    squared distances sum to n * accept**2 the full rmsd cannot pass, so
+    the target is dropped without querying the rest.
+    """
     for c, cloud in enumerate(sources):
         if len(cloud) < 3:
             continue
         moved = t.apply(cloud)
-        matched = False
+        bound = len(moved) * accept * accept
+        head, tail = moved[:_EARLY_POINTS], moved[_EARLY_POINTS:]
         for j, tree in enumerate(trees):
-            if tree is None:
+            if tree is None or not congruent(c, j):
                 continue
-            gap = abs(spreads[c] - spreads[j])
-            if gap > max(0.25 * max(spreads[c], spreads[j]), 2.0 * accept):
+            d_head, _ = tree.query(head)
+            if float(d_head @ d_head) >= bound:
                 continue
-            if _rmsd(moved, tree) < accept:
-                matched = True
+            dist = np.concatenate([d_head, tree.query(tail)[0]])
+            if np.sqrt(np.mean(dist * dist)) < accept:
                 break
-        if not matched:
+        else:
             return False
     return True
 
@@ -492,7 +544,7 @@ def unique_transforms(symmetries: list[DetectedSymmetry]) -> dict[int, RigidTran
 def symmetry_pairs(
     mesh: LabeledMesh,
     symmetries: list[DetectedSymmetry],
-    residual_cutoff: float = DEFAULT_RESIDUAL_CUTOFF,
+    residual_cutoff: float = SymmetryConfig.residual_cutoff,
 ) -> list[SymmetryPair]:
     """Map each source face through its transform to the nearest target face.
 

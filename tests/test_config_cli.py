@@ -180,3 +180,25 @@ def test_cli_infer_rejects_damaged_probabilities(tmp_path, caplog, damage, messa
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in caplog.text
     assert not (out / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize("truth, message", [
+    ('{"face": 0, "labels": ["sand"]}', "line 1: unknown material 'sand'"),
+    ('{"face": 0, "labels": ["wood"]', "line 1: invalid JSON"),
+    ('{"face": 0, "labels": ["wood"]}\n{"labels": ["wood"]}', "line 2: expected {face: int"),
+])
+def test_cli_eval_rejects_bad_truth(tmp_path, caplog, truth, message):
+    names = ("wood", "plastic", "metal", "glass", "fabric")
+    pred = tmp_path / "predictions.jsonl"
+    rec = {"face": 0, "top1": "wood", "label_set": ["wood"],
+           "marginals": {n: 0.2 for n in names}}
+    pred.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    path = tmp_path / "face_truth.jsonl"
+    path.write_text(truth + "\n", encoding="utf-8")
+    caplog.clear()
+    assert cli.main(["eval", "--pred", str(pred), "--truth", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and f"{path}, {message}" in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "report.json").exists()

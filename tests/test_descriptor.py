@@ -112,10 +112,18 @@ def test_impossible_combination_warns():
     labels = np.zeros((4, 5))
     labels[:, 0] = 1.0  # only wood present
     sampler = PairSampler(feats, labels, seed=0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         batch = sampler.draw(10)
     # negatives need two distinct materials; only positives survive
     assert all(batch.positive)
+    assert sampler.skipped == 10 - len(batch)
+    # a training run warns once with the total, not once per skipped draw
+    labels[2:] = np.eye(5)[1]  # wood and metal: every step finds some pair
+    with pytest.warns(UserWarning) as record:
+        train_descriptor(feats, labels, epochs=3, steps_per_epoch=2, pairs_per_step=20)
+    assert len(record) == 1
+    assert "of 120 pair draws" in str(record[0].message)
 
 
 def test_loss_parts_compose():

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from matseg.errors import EmptyMeshError, MalformedObjError, UnknownComponentError
+from matseg.errors import (
+    EmptyMeshError,
+    MalformedObjError,
+    NonFiniteGeometryError,
+    UnknownComponentError,
+)
 from matseg.materials import MaterialLabelSet
 from matseg.mesh import (
     attach_labels,
@@ -60,6 +65,18 @@ def test_no_faces_rejected(tmp_path):
     p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
     with pytest.raises(EmptyMeshError):
         load_obj(str(p))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_rejected(tmp_path, value):
+    p = tmp_path / "nan.obj"
+    p.write_text(f"v 0 0 0\nv 1 0 0\nv {value} 1 0\nf 1 2 3\n")
+    with pytest.raises(MalformedObjError) as exc:
+        load_obj(str(p))
+    assert exc.value.line == 3
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, float(value)]])
+    with pytest.raises(NonFiniteGeometryError, match="vertex 2"):
+        build_mesh(v, np.array([[0, 1, 2]]), ("a",), np.array([0]))
 
 
 def test_cube_adjacency_pair_count(cube):

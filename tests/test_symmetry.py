@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
+
 from matseg.errors import DegenerateGeometryError
 from matseg.mesh import build_mesh
 from matseg.symmetry import (
     DetectedSymmetry,
     RigidTransform,
+    _component_cloud,
+    _maps_arrangement,
+    _refit,
     detect_symmetries,
     icp_align,
     load_symmetries,
@@ -17,6 +23,7 @@ from matseg.symmetry import (
     symmetry_pairs,
     unique_transforms,
 )
+from matseg.synth import benchmark_suite, generate
 
 
 def y_rotation(angle: float) -> np.ndarray:
@@ -202,3 +209,113 @@ def test_symmetry_round_trips(tmp_path):
     assert [(p.face_a, p.face_b, p.s, p.transform_id) for p in pairs] == [
         (p.face_a, p.face_b, p.s, p.transform_id) for p in pback
     ]
+
+
+# the symmetries the generator builds in: quarter turns about the upright
+# axis for tables, the x-mirror for chairs
+QUARTER = y_rotation(math.pi / 2)
+BUILT_IN = {
+    "table": [np.linalg.matrix_power(QUARTER, k) for k in (1, 2, 3)],
+    "chair": [np.diag([-1.0, 1.0, 1.0])],
+}
+
+
+@pytest.fixture(scope="module")
+def suite_detections():
+    """Jitter-free suite shapes 2 (prism table) and 15 (box chair), seed 5."""
+    out = {}
+    for idx in (2, 15):
+        spec = benchmark_suite()[idx]
+        assert spec.jitter == 0.0
+        mesh = generate(spec)
+        out[idx] = (spec, mesh, detect_symmetries(mesh, seed=5))
+    return out
+
+
+def test_refit_matches_built_in_symmetries_on_every_vertex(suite_detections):
+    for spec, mesh, syms in suite_detections.values():
+        v = mesh.vertices
+        reps = unique_transforms(syms).values()
+        for rot in BUILT_IN[spec.category]:
+            gap = min(
+                np.linalg.norm(t.apply(v) - v @ rot.T, axis=1).max() for t in reps
+            ) / mesh.bounding_radius
+            assert gap < 5e-4, (spec.category, gap)
+
+
+def test_mirror_pairs_come_out_both_ways(suite_detections):
+    _, mesh, syms = suite_detections[15]
+    legs = {c for c, n in enumerate(mesh.component_names) if n.startswith("leg")}
+    pairs = {(s.source_component, s.target_component) for s in syms}
+    leg_pairs = {(i, j) for i, j in pairs if i in legs and j in legs and i != j}
+    assert leg_pairs
+    assert leg_pairs == {(j, i) for i, j in leg_pairs}
+
+
+def test_early_reject_matches_full_rmsd():
+    mesh = four_box_mesh()
+    rng = np.random.default_rng(11)
+    sources = [_component_cloud(mesh, c, 256, rng)[0] for c in range(2)]
+    targets = [_component_cloud(mesh, c, 2048, rng)[0] for c in range(2)]
+
+    queried = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    trees = [CountingTree(t) for t in targets]
+    plain = [cKDTree(t) for t in targets]
+    early = 0
+    for _ in range(40):
+        rot = Rotation.from_rotvec(rng.normal(scale=0.15, size=3)).as_matrix()
+        if rng.random() < 0.5:
+            rot = rot @ np.diag([-1.0, 1.0, 1.0])
+        t = RigidTransform(rot, rng.normal(scale=0.05, size=3))
+        rmsd = np.array([
+            [np.sqrt(np.mean(tree.query(t.apply(src))[0] ** 2)) for tree in plain]
+            for src in sources
+        ])
+        # gates on both sides of each cloud's best rmsd, some within 1e-9
+        for accept in np.concatenate([rmsd.min(axis=1), rmsd.ravel()]) * rng.choice(
+            [0.2, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=6
+        ):
+            want = bool(np.all((rmsd < accept).any(axis=1)))
+            queried.clear()
+            got = _maps_arrangement(t, sources, trees, lambda c, j: True, accept)
+            assert got == want
+            early += queried.count(32) > queried.count(256 - 32)
+    assert early > 0  # the early exit was taken
+
+
+def test_point_to_plane_refit_keeps_reflection():
+    base = np.array([
+        [0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.6, 0.0],
+        [0.0, 0.0, 0.2], [0.3, 0.0, 0.2], [0.3, 0.6, 0.2], [0.0, 0.6, 0.2],
+    ]) + np.array([0.5, 0.0, -0.1])
+    quads = [
+        (0, 1, 5, 4), (4, 5, 6, 7), (1, 2, 6, 5),
+        (0, 4, 7, 3), (0, 3, 2, 1), (3, 7, 6, 2),
+    ]
+    box = np.array([f for a, b, c, d in quads for f in ((a, b, c), (a, c, d))])
+    mirrored = base * np.array([-1.0, 1.0, 1.0])
+    mesh = build_mesh(
+        np.vstack([base, mirrored]), np.vstack([box, box[:, [0, 2, 1]] + 8]),
+        ("left", "right"), np.repeat([0, 1], 12),
+    )
+    rng = np.random.default_rng(2)
+    src = _component_cloud(mesh, 0, 4096, rng)[0]
+    dst, faces = _component_cloud(mesh, 1, 4096, rng)
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    start = RigidTransform(
+        y_rotation(0.05) @ mirror, np.array([0.02, -0.01, 0.015])
+    )
+    fit, rmsd = _refit(
+        src, dst, mesh.face_normals[faces], cKDTree(dst), start, 12,
+        mesh.bounding_center, mesh.bounding_radius,
+    )
+    assert fit.det == -1.0
+    gap = np.linalg.norm(fit.apply(base) - base @ mirror.T, axis=1).max()
+    assert gap < 1e-3 * mesh.bounding_radius
+    assert rmsd < 0.02 * mesh.bounding_radius
