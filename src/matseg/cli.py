@@ -10,7 +10,6 @@ config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -32,10 +31,11 @@ from .crf import (
     train_crf,
 )
 from .descriptor import DescriptorNet, extract_features, label_matrix, predict_probs, train_descriptor
-from .errors import ConfigError, InterchangeError, MatsegError
+from .errors import ConfigError, MatsegError
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
-from .materials import MATERIALS
+from .jsonl import read_jsonl, write_jsonl
+from .materials import MATERIALS, material_indices
 from .mesh import attach_labels, compute_adjacency, load_labels, load_obj, save_labels, save_obj
 from .sampling import (
     load_samples,
@@ -155,9 +155,10 @@ def _mesh_path(args) -> str:
     return os.path.join(args.shape, MESH_FILE)
 
 
-def _load_shape(args, with_labels: bool = True):
-    mesh = load_obj(_mesh_path(args))
-    labels_path = os.path.join(_shape_dir(args), LABELS_FILE)
+def _load_shape(mesh_path: str, with_labels: bool = True):
+    """The mesh, with the labels file beside it attached when asked and present."""
+    mesh = load_obj(mesh_path)
+    labels_path = os.path.join(os.path.dirname(mesh_path), LABELS_FILE)
     if with_labels and os.path.exists(labels_path):
         mesh = attach_labels(mesh, load_labels(labels_path))
     return mesh
@@ -173,40 +174,21 @@ def _out_path(args, default_dir: str, default_name: str) -> str:
 
 def write_face_truth(path: str, mesh) -> None:
     """JSON-lines {face, labels}: the per-face ground-truth label names."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in range(mesh.n_faces):
-            rec = {"face": f, "labels": list(mesh.face_label_set(f))}
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, ({"face": f, "labels": list(mesh.face_label_set(f))}
+                       for f in range(mesh.n_faces)))
 
 
 def read_face_truth(path: str, materials=MATERIALS) -> np.ndarray:
     """Read truth lines back as a (faces, materials) 0/1 array in face order.
 
-    Invalid JSON, a line without an integer ``face`` and a ``labels`` list,
-    or a label outside ``materials`` raises InterchangeError naming the file
-    and line.
+    Faces must run exactly over 0..n-1 and every label must be one of
+    ``materials``, else InterchangeError names the file (and the line).
     """
-    index = {name: i for i, name in enumerate(materials)}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InterchangeError(path, f"invalid JSON: {exc.msg}", lineno) from None
-            if (not isinstance(rec, dict) or type(rec.get("face")) is not int
-                    or not isinstance(rec.get("labels"), list)):
-                raise InterchangeError(path, "expected {face: int, labels: [...]}", lineno)
-            unknown = [n for n in rec["labels"] if not isinstance(n, str) or n not in index]
-            if unknown:
-                raise InterchangeError(path, f"unknown material {unknown[0]!r}", lineno)
-            rows.append((rec["face"], [index[name] for name in rec["labels"]]))
-    rows.sort(key=lambda r: r[0])
+    fields = {"face": int, "labels": (list, lambda names: material_indices(names, materials))}
+    rows = list(read_jsonl(path, fields, index="face"))
     truth = np.zeros((len(rows), len(materials)))
-    for i, (_, labels) in enumerate(rows):
-        truth[i, labels] = 1.0
+    for i, rec in enumerate(rows):
+        truth[i, list(rec["labels"])] = 1.0
     return truth
 
 
@@ -229,7 +211,7 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_sample(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(args)
+    mesh = _load_shape(_mesh_path(args))
     cfg = config.sampling
     n = args.n if args.n is not None else cfg.n_points
     k = args.k if args.k is not None else cfg.keep
@@ -243,7 +225,7 @@ def _cmd_sample(args, config: PipelineConfig) -> int:
 
 
 def _cmd_symmetry(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(args, with_labels=False)
+    mesh = _load_shape(_mesh_path(args), with_labels=False)
     cfg = config.symmetry
     syms = detect_symmetries(
         mesh,
@@ -262,7 +244,7 @@ def _cmd_symmetry(args, config: PipelineConfig) -> int:
 
 
 def _cmd_geodesic(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(args, with_labels=False)
+    mesh = _load_shape(_mesh_path(args), with_labels=False)
     adjacency = compute_adjacency(mesh)
     pairs = geodesic_pairs(
         mesh,
@@ -288,19 +270,11 @@ def _shape_dirs(root: str, required: str) -> list[str]:
     return dirs
 
 
-def _load_dir_shape(d: str):
-    mesh = load_obj(os.path.join(d, MESH_FILE))
-    labels_path = os.path.join(d, LABELS_FILE)
-    if os.path.exists(labels_path):
-        mesh = attach_labels(mesh, load_labels(labels_path))
-    return mesh
-
-
 def _cmd_train_desc(args, config: PipelineConfig) -> int:
     cfg = config.descriptor
     feats, labels = [], []
     for d in _shape_dirs(args.data, SAMPLES_FILE):
-        mesh = _load_dir_shape(d)
+        mesh = _load_shape(os.path.join(d, MESH_FILE))
         samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
         feats.append(extract_features(mesh, samples))
         labels.append(label_matrix(samples))
@@ -336,7 +310,7 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(args, with_labels=False)
+    mesh = _load_shape(_mesh_path(args), with_labels=False)
     d = _shape_dir(args)
     samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
     net = DescriptorNet.load(args.net)
@@ -347,8 +321,8 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _build_shape_graph(d: str, config: PipelineConfig, weights=None, with_truth=False):
-    mesh = _load_dir_shape(d)
+def _build_shape_graph(d: str, weights=None, with_truth=False):
+    mesh = _load_shape(os.path.join(d, MESH_FILE))
     samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
     probs = load_sample_probs(os.path.join(d, PROBS_FILE))
     geo_path = os.path.join(d, GEODESIC_FILE)
@@ -371,7 +345,7 @@ def _build_shape_graph(d: str, config: PipelineConfig, weights=None, with_truth=
 def _cmd_train_crf(args, config: PipelineConfig) -> int:
     cfg = config.crf
     graphs = [
-        _build_shape_graph(d, config, with_truth=True)
+        _build_shape_graph(d, with_truth=True)
         for d in _shape_dirs(args.data, PROBS_FILE)
     ]
     weights, trace = train_crf(
@@ -391,7 +365,7 @@ def _cmd_infer(args, config: PipelineConfig) -> int:
     cfg = config.crf
     weights = CrfWeights.load(args.weights) if args.weights else None
     d = _shape_dir(args)
-    graph = _build_shape_graph(d, config, weights=weights)
+    graph = _build_shape_graph(d, weights=weights)
     marginals = mean_field_infer(graph, max_iter=cfg.infer_iter, tol=cfg.infer_tol)
     predictions = predict_labels(marginals, threshold=cfg.label_threshold)
     out = _out_path(args, d, PREDICTIONS_FILE)

@@ -1,8 +1,9 @@
 """Pipeline configuration: sectioned key=value files with strict keys.
 
-Defaults mirror the module-level defaults; a config file only needs the
-keys it overrides. Unknown sections or keys raise ConfigError so typos
-cannot silently fall back to defaults.
+The dataclasses hold every stage's defaults, and the stage functions take
+theirs from here; a config file only needs the keys it overrides. Unknown
+sections or keys raise ConfigError so typos cannot silently fall back to
+defaults.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
@@ -72,12 +70,6 @@ class CrfConfig:
 
 
 @dataclass
-class EvalConfig:
-    ks: tuple = (1, 30, 100)
-    balance: bool = True
-
-
-@dataclass
 class PipelineConfig:
     run: RunConfig = field(default_factory=RunConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -85,7 +77,6 @@ class PipelineConfig:
     geodesic: GeodesicConfig = field(default_factory=GeodesicConfig)
     descriptor: DescriptorConfig = field(default_factory=DescriptorConfig)
     crf: CrfConfig = field(default_factory=CrfConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def sections(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -106,8 +97,6 @@ class PipelineConfig:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -117,13 +106,6 @@ def _render(value) -> str:
 
 def _parse(raw: str, template, where: str):
     raw = raw.strip()
-    if isinstance(template, bool):
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
     try:
         if isinstance(template, int):
             return int(raw)

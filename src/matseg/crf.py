@@ -29,9 +29,10 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.special import expit, logsumexp
 
-from .errors import InterchangeError, MissingDataError, MissingUnariesError, OracleSizeError
+from .errors import InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
 from .geodesics import DistancePair
-from .materials import MATERIALS
+from .jsonl import read_jsonl, unit, write_jsonl
+from .materials import MATERIALS, material_indices
 from .mesh import FaceAdjacency, LabeledMesh
 from .symmetry import SymmetryPair
 
@@ -135,11 +136,11 @@ class CrfGraph:
             e = np.asarray(self.edges.get(f, np.zeros((0, 2))), dtype=np.int64).reshape(-1, 2)
             c = np.asarray(self.coeffs.get(f, np.zeros(0)), dtype=np.float64).reshape(-1)
             if len(e) != len(c):
-                raise ValueError(f"{f}: edge/coefficient length mismatch")
+                raise InvalidGraphError(f"{f}: edge/coefficient length mismatch")
             if len(e) and (e.min() < 0 or e.max() >= self.n_faces):
-                raise ValueError(f"{f}: edge references an invalid face")
-            if len(c) and (c.min() < -1e-12 or c.max() > 1.0 + 1e-12):
-                raise ValueError(f"{f}: coefficients must lie in [0, 1]")
+                raise InvalidGraphError(f"{f}: edge references an invalid face")
+            if not np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)):  # NaN fails both
+                raise InvalidGraphError(f"{f}: coefficients must be finite and lie in [0, 1]")
             self.edges[f] = e
             self.coeffs[f] = np.clip(c, 0.0, 1.0)
         if self.truth is not None:
@@ -524,14 +525,18 @@ def train_crf(
 
 def save_sample_probs(path: str, probs: np.ndarray, materials=MATERIALS) -> None:
     """JSON-lines {sample_index, probs: {material: p}} per sample."""
-    probs = np.asarray(probs, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(probs)):
-            rec = {
-                "sample_index": i,
-                "probs": {name: float(probs[i, k]) for k, name in enumerate(materials)},
-            }
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (
+        {"sample_index": i, "probs": {name: float(p) for name, p in zip(materials, row)}}
+        for i, row in enumerate(probs)
+    ))
+
+
+def _per_material(values: dict, materials) -> list:
+    """The values of a {material: number in [0, 1]} record, in material order."""
+    row = [values.get(name) for name in materials]
+    if len(values) != len(row) or None in row:
+        raise ValueError(f"expected a value for each of {list(materials)}, got {list(values)}")
+    return list(map(unit, row))
 
 
 def load_sample_probs(path: str, materials=MATERIALS) -> np.ndarray:
@@ -541,36 +546,11 @@ def load_sample_probs(path: str, materials=MATERIALS) -> np.ndarray:
     probability that is a finite number in [0, 1]; anything else raises
     InterchangeError naming the file (and the line, where there is one).
     """
-    rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InterchangeError(path, f"invalid JSON: {exc.msg}", lineno) from None
-            if not isinstance(rec, dict) or not isinstance(rec.get("probs"), dict):
-                raise InterchangeError(path, "expected {sample_index, probs: {...}}", lineno)
-            index = rec.get("sample_index")
-            if type(index) is not int or index in rows:
-                raise InterchangeError(path, f"bad or repeated sample_index {index!r}", lineno)
-            row = [rec["probs"].get(name) for name in materials]
-            for name, p in zip(materials, row):
-                # bool is an int subclass; NaN and infinities fail the range test
-                if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
-                    raise InterchangeError(
-                        path, f"probability of {name!r} is {p!r}, not a number in [0, 1]", lineno
-                    )
-            rows[index] = row
+    fields = {"sample_index": int, "probs": (dict, lambda probs: _per_material(probs, materials))}
+    rows = [rec["probs"] for rec in read_jsonl(path, fields, index="sample_index")]
     if not rows:
         raise MissingUnariesError(f"no unary records in {path}")
-    missing = sorted(set(range(len(rows))) - rows.keys())
-    if missing:
-        raise InterchangeError(
-            path, f"sample indices are not 0..{len(rows) - 1}: {missing[0]} is missing"
-        )
-    return np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
+    return np.array(rows, dtype=np.float64)
 
 
 def save_face_predictions(
@@ -578,30 +558,30 @@ def save_face_predictions(
 ) -> None:
     """JSON-lines {face, top1, label_set, marginals} per face."""
     q = marginals.q
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in range(q.shape[1]):
-            rec = {
-                "face": f,
-                "top1": materials[int(predictions.top1[f])],
-                "label_set": [materials[m] for m in predictions.label_sets[f]],
-                "marginals": {name: float(q[k, f]) for k, name in enumerate(materials)},
-            }
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (
+        {
+            "face": f,
+            "top1": materials[int(predictions.top1[f])],
+            "label_set": [materials[m] for m in predictions.label_sets[f]],
+            "marginals": {name: float(q[k, f]) for k, name in enumerate(materials)},
+        }
+        for f in range(q.shape[1])
+    ))
+
 
 def load_face_predictions(path: str, materials=MATERIALS):
-    """Read prediction lines back as (top1 indices, label-set index tuples, q)."""
-    index = {name: i for i, name in enumerate(materials)}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    rows.sort(key=lambda r: r["face"])
-    top1 = np.array([index[r["top1"]] for r in rows], dtype=np.int64)
-    label_sets = [tuple(index[name] for name in r["label_set"]) for r in rows]
-    q = np.zeros((len(materials), len(rows)))
-    for f, r in enumerate(rows):
-        for name, p in r["marginals"].items():
-            q[index[name], f] = float(p)
-    return top1, label_sets, q
+    """Read prediction lines back as (top1 indices, label-set index tuples, q).
+
+    Faces must run exactly over 0..n-1, names must be ``materials`` and
+    marginals in [0, 1], else InterchangeError names the file (and the line).
+    """
+    fields = {
+        "face": int,
+        "top1": (str, lambda name: material_indices([name], materials)[0]),
+        "label_set": (list, lambda names: material_indices(names, materials)),
+        "marginals": (dict, lambda q: _per_material(q, materials)),
+    }
+    rows = list(read_jsonl(path, fields, index="face"))
+    top1 = np.array([rec["top1"] for rec in rows], dtype=np.int64)
+    q = np.array([rec["marginals"] for rec in rows], dtype=np.float64)
+    return top1, [rec["label_set"] for rec in rows], q.reshape(len(rows), len(materials)).T

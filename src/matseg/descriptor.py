@@ -19,6 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
+from .config import DescriptorConfig
 from .errors import MissingDataError
 from .materials import MATERIALS, NUM_MATERIALS
 from .mesh import LabeledMesh
@@ -26,10 +27,8 @@ from .sampling import SurfaceSample, positions_of
 
 FEATURE_DIM = 64
 FEATURE_RADII = (0.25, 0.5, 1.0)
-DEFAULT_LAYER_SIZES = (64, 128, 64, 32)
-MARGIN = math.sqrt(0.2) - 0.2
+MARGIN = DescriptorConfig.margin
 LAMBDA_PRESETS = {"multitask": (0.016, 1.0), "classification": (1.0, 0.0)}
-ADAM_LR = 0.001
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
@@ -161,19 +160,6 @@ def _thickness(bvh, pos, normals, radius, cone: bool) -> np.ndarray:
     return acc / (_THICKNESS_CONE * cap)
 
 
-def extract_point_features(
-    mesh: LabeledMesh, sample: SurfaceSample, context: list[SurfaceSample]
-) -> np.ndarray:
-    """Feature vector of one sample given the sampled population it sits in."""
-    if sample in context:
-        pool = list(context)
-        pos = pool.index(sample)
-    else:
-        pool = [sample] + list(context)
-        pos = 0
-    return extract_features(mesh, pool)[pos]
-
-
 def label_matrix(samples: list[SurfaceSample], materials=MATERIALS) -> np.ndarray:
     """Multi-hot (S, M) ground-truth matrix from sample label sets."""
     out = np.zeros((len(samples), len(materials)))
@@ -193,7 +179,7 @@ class DescriptorNet:
     L2-normalized descriptor.
     """
 
-    def __init__(self, layer_sizes=DEFAULT_LAYER_SIZES, n_classes: int = NUM_MATERIALS, seed: int = 0):
+    def __init__(self, layer_sizes=DescriptorConfig.layer_sizes, n_classes: int = NUM_MATERIALS, seed: int = 0):
         self.layer_sizes = tuple(layer_sizes)
         self.n_classes = n_classes
         rng = np.random.default_rng(seed)
@@ -447,13 +433,13 @@ class _Adam:
 def train_descriptor(
     features: np.ndarray,
     labels: np.ndarray,
-    variant: str = "multitask",
-    epochs: int = 30,
+    variant: str = DescriptorConfig.variant,
+    epochs: int = DescriptorConfig.epochs,
     seed: int = 0,
-    pairs_per_step: int = 64,
-    steps_per_epoch: int = 4,
-    lr: float = ADAM_LR,
-    layer_sizes=DEFAULT_LAYER_SIZES,
+    pairs_per_step: int = DescriptorConfig.pairs_per_step,
+    steps_per_epoch: int = DescriptorConfig.steps_per_epoch,
+    lr: float = DescriptorConfig.lr,
+    layer_sizes=DescriptorConfig.layer_sizes,
     margin: float = MARGIN,
     lambdas: tuple[float, float] | None = None,
 ) -> tuple[DescriptorNet, list[dict[str, float]]]:

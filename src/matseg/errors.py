@@ -33,6 +33,11 @@ class MissingUnariesError(MatsegError):
     """CRF construction was given no unary samples, or not one row per sample."""
 
 
+class InvalidGraphError(MatsegError, ValueError):
+    """CRF edges name a missing face, or a coefficient is not a finite number
+    in [0, 1]. Also a ValueError, which callers caught before it had a class."""
+
+
 class InterchangeError(MatsegError):
     """An interchange file is malformed or inconsistent; names the file and,
     where one is to blame, the line."""

@@ -8,17 +8,16 @@ number of nearest partners.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .config import GeodesicConfig
+from .jsonl import read_jsonl, unit, write_jsonl
 from .mesh import FaceAdjacency, LabeledMesh
 
-DEFAULT_RADIUS_FRACTION = 0.1
-DEFAULT_CAP = 16
 _DIAMETER_SEEDS = 8
 _SOURCE_CHUNK = 256
 
@@ -81,8 +80,8 @@ def _fps_faces(mesh: LabeledMesh, k: int) -> list[int]:
 def geodesic_pairs(
     mesh: LabeledMesh,
     adjacency: FaceAdjacency,
-    radius_fraction: float = DEFAULT_RADIUS_FRACTION,
-    cap: int = DEFAULT_CAP,
+    radius_fraction: float = GeodesicConfig.radius_fraction,
+    cap: int = GeodesicConfig.cap,
     seed: int = 0,
 ) -> list[DistancePair]:
     """Short-range geodesic face pairs, normalized by the geodesic diameter.
@@ -124,19 +123,11 @@ def geodesic_pairs(
     return [DistancePair(a, b, v) for (a, b), v in sorted(kept.items())]
 
 def save_distance_pairs(path: str, pairs: list[DistancePair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({"face_a": p.face_a, "face_b": p.face_b, "d": p.distance}))
-            fh.write("\n")
+    write_jsonl(path, ({"face_a": p.face_a, "face_b": p.face_b, "d": p.distance} for p in pairs))
 
 
 def load_distance_pairs(path: str) -> list[DistancePair]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(DistancePair(int(obj["face_a"]), int(obj["face_b"]), float(obj["d"])))
-    return out
+    return [
+        DistancePair(rec["face_a"], rec["face_b"], rec["d"])
+        for rec in read_jsonl(path, {"face_a": int, "face_b": int, "d": unit})
+    ]

@@ -13,6 +13,14 @@ MATERIAL_INDEX: dict[str, int] = {name: i for i, name in enumerate(MATERIALS)}
 NUM_MATERIALS = len(MATERIALS)
 
 
+def material_indices(names, materials=MATERIALS) -> tuple[int, ...]:
+    """Positions of ``names`` in ``materials``; any other name raises ValueError."""
+    for name in names:
+        if name not in materials:
+            raise ValueError(f"unknown material {name!r}")
+    return tuple(materials.index(name) for name in names)
+
+
 class MaterialLabelSet:
     """Immutable set of material labels, stored as a bitmask over MATERIALS.
 

@@ -7,8 +7,8 @@ subsampling. All randomness flows through an explicit seed.
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,15 +16,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
+from .config import SamplingConfig
 from .errors import EmptyMeshError
+from .jsonl import read_jsonl, write_jsonl
 from .materials import EMPTY_LABELS, MaterialLabelSet
 from .mesh import LabeledMesh
 
 logger = logging.getLogger(__name__)
 
-VISIBILITY_RAYS = 64
-VISIBILITY_OFFSET = 1e-4
-RELAX_ITERATIONS = 20
 _RELAX_CANDIDATES = 8
 
 
@@ -53,7 +52,7 @@ def sample_surface_points(
     mesh: LabeledMesh,
     n: int,
     seed: int,
-    relax_iterations: int = RELAX_ITERATIONS,
+    relax_iterations: int = SamplingConfig.relax_iterations,
 ) -> list[SurfaceSample]:
     """Draw ``n`` area-weighted surface points, then even them out.
 
@@ -139,8 +138,8 @@ def _fibonacci_directions(count: int) -> np.ndarray:
 def visibility_filter(
     mesh: LabeledMesh,
     samples: list[SurfaceSample],
-    n_rays: int = VISIBILITY_RAYS,
-    offset: float = VISIBILITY_OFFSET,
+    n_rays: int = SamplingConfig.visibility_rays,
+    offset: float = SamplingConfig.visibility_offset,
     bvh: TriangleBvh | None = None,
 ) -> list[SurfaceSample]:
     """Keep samples that can see past the bounding sphere along some ray.
@@ -215,36 +214,39 @@ def subsample_even(samples: list[SurfaceSample], k: int, seed: int) -> list[Surf
 
 def save_samples(path: str, samples: list[SurfaceSample]) -> None:
     """Write samples as JSON lines: {position, face, barycentric, labels, visible}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            rec = {
-                "position": [float(x) for x in s.position],
-                "face": int(s.face),
-                "barycentric": [float(x) for x in s.barycentric],
-                "labels": list(s.labels),
-                "visible": bool(s.visible),
-            }
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (
+        {
+            "position": [float(x) for x in s.position],
+            "face": int(s.face),
+            "barycentric": [float(x) for x in s.barycentric],
+            "labels": list(s.labels),
+            "visible": bool(s.visible),
+        }
+        for s in samples
+    ))
+
+
+def _point(values: list) -> np.ndarray:
+    if len(values) != 3 or not all(type(x) in (int, float) and math.isfinite(x) for x in values):
+        raise ValueError(f"expected 3 finite numbers, got {values!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def load_samples(path: str, mesh: LabeledMesh | None = None) -> list[SurfaceSample]:
-    """Read samples written by save_samples; normals recomputed from the mesh."""
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            face = int(rec["face"])
-            normal = mesh.face_normals[face].copy() if mesh is not None else np.zeros(3)
-            samples.append(
-                SurfaceSample(
-                    position=np.array(rec["position"], dtype=np.float64),
-                    face=face,
-                    barycentric=np.array(rec["barycentric"], dtype=np.float64),
-                    normal=normal,
-                    labels=MaterialLabelSet(rec.get("labels", [])),
-                    visible=bool(rec.get("visible", True)),
-                )
-            )
-    return samples
+    """Read samples written by save_samples; normals recomputed from the mesh.
+
+    Given a mesh, every sample's face must be one of the mesh's faces.
+    """
+    def face(f: int) -> int:
+        if mesh is not None and not 0 <= f < mesh.n_faces:
+            raise ValueError(f"face {f} is not one of the mesh's {mesh.n_faces} faces")
+        return f
+
+    fields = {"position": (list, _point), "face": (int, face), "barycentric": (list, _point),
+              "labels": (list, MaterialLabelSet), "visible": bool}
+    return [
+        SurfaceSample(rec["position"], rec["face"], rec["barycentric"],
+                      mesh.face_normals[rec["face"]].copy() if mesh is not None else np.zeros(3),
+                      rec["labels"], rec["visible"])
+        for rec in read_jsonl(path, fields)
+    ]

@@ -20,6 +20,7 @@ from scipy.spatial.transform import Rotation
 
 from .config import SymmetryConfig
 from .errors import DegenerateGeometryError
+from .jsonl import read_jsonl, unit, write_jsonl
 from .mesh import UPRIGHT_AXIS, LabeledMesh
 
 _N_INIT_ROTATIONS = 8
@@ -619,34 +620,15 @@ def load_symmetries(path: str) -> list[DetectedSymmetry]:
 
 
 def save_symmetry_pairs(path: str, pairs: list[SymmetryPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "face_a": p.face_a,
-                        "face_b": p.face_b,
-                        "s": p.s,
-                        "transform_id": p.transform_id,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"face_a": p.face_a, "face_b": p.face_b, "s": p.s, "transform_id": p.transform_id}
+        for p in pairs
+    ))
 
 
 def load_symmetry_pairs(path: str) -> list[SymmetryPair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            pairs.append(
-                SymmetryPair(
-                    int(rec["face_a"]),
-                    int(rec["face_b"]),
-                    float(rec["s"]),
-                    int(rec["transform_id"]),
-                )
-            )
-    return pairs
+    fields = {"face_a": int, "face_b": int, "s": unit, "transform_id": int}
+    return [
+        SymmetryPair(rec["face_a"], rec["face_b"], rec["s"], rec["transform_id"])
+        for rec in read_jsonl(path, fields)
+    ]

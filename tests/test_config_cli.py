@@ -16,8 +16,7 @@ def test_defaults_and_rendered_items():
     assert cfg.sampling.n_points == 150
     assert cfg.descriptor.margin == math.sqrt(0.2) - 0.2
     items = dict(cfg.items())
-    assert items["eval.ks"] == "1,30,100"
-    assert items["eval.balance"] == "true"
+    assert items["descriptor.layer_sizes"] == "64,128,64,32"
     assert items["run.seed"] == "0"
 
 
@@ -26,26 +25,22 @@ def test_apply_items_parses_types():
         ("run.seed", "7"),
         ("sampling.n_points", " 99 "),
         ("crf.lr", "0.5"),
-        ("eval.balance", "OFF"),
-        ("eval.ks", "2,4"),
+        ("descriptor.layer_sizes", "2,4"),
         ("descriptor.variant", "classification"),
     ])
     assert cfg.run.seed == 7
     assert cfg.sampling.n_points == 99
     assert cfg.crf.lr == 0.5
-    assert cfg.eval.balance is False
-    assert cfg.eval.ks == (2, 4)
+    assert cfg.descriptor.layer_sizes == (2, 4)
     assert cfg.descriptor.variant == "classification"
 
 
 def test_apply_items_rejects_bad_keys_and_values():
-    for key in ("nonsense", "run.bogus", "nosection.seed"):
+    for key in ("nonsense", "run.bogus", "nosection.seed", "eval.ks"):
         with pytest.raises(ConfigError):
             apply_items(PipelineConfig(), [(key, "1")])
     with pytest.raises(ConfigError):
         apply_items(PipelineConfig(), [("run.seed", "not-a-number")])
-    with pytest.raises(ConfigError):
-        apply_items(PipelineConfig(), [("eval.balance", "perhaps")])
 
 
 def test_config_file_round_trip(tmp_path):
@@ -186,6 +181,8 @@ def test_cli_infer_rejects_damaged_probabilities(tmp_path, caplog, damage, messa
     ('{"face": 0, "labels": ["sand"]}', "line 1: unknown material 'sand'"),
     ('{"face": 0, "labels": ["wood"]', "line 1: invalid JSON"),
     ('{"face": 0, "labels": ["wood"]}\n{"labels": ["wood"]}', "line 2: expected {face: int"),
+    ('{"face": 0, "labels": ["wood"]}\n{"face": 2, "labels": ["wood"]}',
+     "line 2: face 2 is out of range, so the values are not 0..1: 1 is missing"),
 ])
 def test_cli_eval_rejects_bad_truth(tmp_path, caplog, truth, message):
     names = ("wood", "plastic", "metal", "glass", "fabric")
@@ -202,3 +199,78 @@ def test_cli_eval_rejects_bad_truth(tmp_path, caplog, truth, message):
     assert len(errors) == 1 and f"{path}, {message}" in errors[0]
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "report.json").exists()
+
+
+def infer_ready_shape(tmp_path):
+    """A synthesized shape with samples, geodesic pairs, flat probabilities
+    and predictions: every file that infer and eval read."""
+    from matseg.crf import save_sample_probs
+
+    spec = write_spec(tmp_path)
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", spec, "--out", str(out)]) == 0
+    assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "30",
+                     "--seed", "0"]) == 0
+    assert cli.main(["geodesic", "--shape", str(out)]) == 0
+    save_sample_probs(str(out / "sample_probs.jsonl"), np.full((30, 5), 0.2))
+    assert cli.main(["infer", "--shape", str(out)]) == 0
+    return out
+
+
+def replace_line(n, old, new):
+    """Damage: swap ``old`` for ``new`` once on line ``n`` (1-based)."""
+    return lambda lines: lines[:n - 1] + [lines[n - 1].replace(old, new, 1)] + lines[n:]
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("geodesic_pairs.jsonl", replace_line(3, '"d": ', '"d": NaN, "x": '),
+     "line 3: expected {face_a: int, face_b: int, d: unit}"),
+    ("geodesic_pairs.jsonl", lambda lines: lines[:-1] + [lines[-1][:20]], "invalid JSON"),
+    ("samples.jsonl", replace_line(4, '"face": ', '"face": -1, "x": '),
+     "line 4: face -1 is not one of the mesh's"),
+    ("samples.jsonl", replace_line(5, '"face": ', '"face": 1000000, "x": '),
+     "line 5: face 1000000 is not one of the mesh's"),
+    ("samples.jsonl", replace_line(6, '"labels": [', '"labels": ["sand", '),
+     "line 6: unknown material 'sand'"),
+    ("samples.jsonl", replace_line(7, '"position": [', '"position": [NaN, '),
+     "line 7: expected 3 finite numbers"),
+    ("samples.jsonl", lambda lines: lines[:-1] + [lines[-1][:30]], "line 30: invalid JSON"),
+    ("predictions.jsonl", replace_line(2, '"top1": "', '"top1": "sand", "x": "'),
+     "line 2: unknown material 'sand'"),
+    ("predictions.jsonl", lambda lines: lines[:4] + lines[5:],
+     "line 127: face 127 is out of range, so the values are not 0..126: 4 is missing"),
+    ("predictions.jsonl", lambda lines: lines[:-1] + [lines[-1][:25]], "invalid JSON"),
+])
+def test_cli_rejects_damaged_stage_files(tmp_path, caplog, name, damage, message):
+    out = infer_ready_shape(tmp_path)
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+    if name == "predictions.jsonl":
+        result = tmp_path / "report.json"
+        argv = ["eval", "--pred", str(path), "--truth", str(out / "face_truth.jsonl"),
+                "--out", str(result)]
+    else:
+        result = out / "predictions.jsonl"
+        result.unlink()
+        argv = ["infer", "--shape", str(out)]
+    caplog.clear()
+    assert cli.main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and f"{path}, line " in errors[0] and message in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not result.exists()
+
+
+def test_cli_infer_rejects_pair_outside_mesh(tmp_path, caplog):
+    out = infer_ready_shape(tmp_path)
+    (out / "predictions.jsonl").unlink()
+    path = out / "geodesic_pairs.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(replace_line(1, '"face_a": ', '"face_a": 1000000, "x": ')(lines))
+                    + "\n", encoding="utf-8")
+    caplog.clear()
+    assert cli.main(["infer", "--shape", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "dist: edge references an invalid face" in errors[0]
+    assert "Traceback" not in caplog.text

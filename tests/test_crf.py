@@ -27,6 +27,7 @@ from matseg.crf import (
 )
 from matseg.errors import (
     InterchangeError,
+    InvalidGraphError,
     MissingDataError,
     MissingUnariesError,
     OracleSizeError,
@@ -135,6 +136,13 @@ def test_coefficient_range_enforced():
         one_material_graph([0.5, 0.5], adj=[(0, 1, 1.5)])
     with pytest.raises(ValueError):
         one_material_graph([0.5, 0.5], adj=[(0, 2, 0.5)])
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(InvalidGraphError, match="finite"):
+            one_material_graph([0.5, 0.5], adj=[(0, 1, k)])
+    with pytest.raises(InvalidGraphError, match="length mismatch"):
+        CrfGraph(materials=("wood",), n_faces=2, unary=np.full((1, 2), 0.5),
+                 edges={"adj": np.array([[0, 1]])}, coeffs={"adj": np.zeros(2)},
+                 weights=CrfWeights.ones(("wood",)))
 
 
 def test_unary_rows_complement():
@@ -467,6 +475,16 @@ def test_sample_probs_round_trip(tmp_path):
      "line 6"),
     (lambda lines: lines[:5] + ['{"sample_index": 5, "probs": {"wood": 1.5}}'], "line 6"),
     (lambda lines: lines[:5] + ['{"sample_index": 5, "probs": [0.5]}'], "line 6"),
+    pytest.param(lambda lines: lines[:1] + [lines[1].replace('"fabric"', '"sand": 0.2, "fabric"')]
+                 + lines[2:], "line 2: expected a value for each of", id="extra-material"),
+    pytest.param(lambda lines: lines[:2] + [lines[2].replace('2', "9" * 5000, 1)] + lines[3:],
+                 "line 3: invalid JSON", id="overlong-index"),
+    pytest.param(lambda lines: lines[:5] + [lines[5].replace('"sample_index": 5', '"sample_index": -1')],
+                 "line 6: sample_index -1 is out of range", id="negative-index"),
+    pytest.param(lambda lines: lines[:3] + [lines[3].replace("0.2", "true", 1)] + lines[4:],
+                 "line 4: True is not a number in [0, 1]", id="bool-probability"),
+    pytest.param(lambda lines: lines[:3] + ["[0.2, 0.2, 0.2, 0.2, 0.2]"] + lines[4:],
+                 "line 4: expected {sample_index: int, probs: dict}", id="not-an-object"),
 ])
 def test_load_sample_probs_rejects_bad_files(tmp_path, mutate, where):
     path = tmp_path / "probs.jsonl"
