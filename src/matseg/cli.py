@@ -137,10 +137,9 @@ def _effective_config(args) -> PipelineConfig:
             raise ConfigError(f"--set needs SECTION.KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         pairs.append((key.strip(), value))
-    apply_items(config, pairs)
     if args.seed is not None:
-        config.run.seed = args.seed
-    return config
+        pairs.append(("run.seed", str(args.seed)))
+    return apply_items(config, pairs)
 
 
 def _shape_dir(args) -> str:

@@ -108,7 +108,10 @@ def _parse(raw: str, template, where: str):
     raw = raw.strip()
     try:
         if isinstance(template, int):
-            return int(raw)
+            value = int(raw)
+            if value < 0:  # no count, size or seed is negative
+                raise ValueError(f"{value} is negative")
+            return value
         if isinstance(template, float):
             return float(raw)
         if isinstance(template, tuple):

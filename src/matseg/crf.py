@@ -21,7 +21,6 @@ per-material column coefficients. Each material still stops on its own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +28,11 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.special import expit, logsumexp
 
+from .config import CrfConfig
 from .errors import InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
 from .geodesics import DistancePair
-from .jsonl import read_jsonl, unit, write_jsonl
-from .materials import MATERIALS, material_indices
+from .jsonl import check_record, finite_array, one_of, read_json, read_jsonl, unit, write_json, write_jsonl
+from .materials import MATERIALS, NUM_MATERIALS, material_indices
 from .mesh import FaceAdjacency, LabeledMesh
 from .symmetry import SymmetryPair
 
@@ -90,21 +90,41 @@ class CrfWeights:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CrfWeights":
-        if obj.get("format") != _WEIGHTS_FORMAT:
-            raise ValueError(f"unsupported weights format: {obj.get('format')!r}")
-        w = cls(tuple(obj["materials"]), obj["scales"], obj["tables"])
+        """Projected weights from a to_obj document over MATERIALS; ValueError
+        for anything else."""
+        check_record(obj, _WEIGHT_FIELDS)
+        w = cls(obj["materials"], obj["scales"], obj["tables"])
         w.project()
         return w
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_obj())
 
     @classmethod
     def load(cls, path: str) -> "CrfWeights":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_obj(json.load(fh))
+        """Read weights written by save; InterchangeError names a file that
+        from_obj would reject."""
+        return cls.from_obj(read_json(path, _WEIGHT_FIELDS))
+
+
+def _per_family(shape):
+    """A check that {family: numbers} has every family, each numbers of ``shape``."""
+    def check(values: dict) -> dict:
+        if values.keys() != set(FAMILIES):
+            raise ValueError(f"expected an entry for each of {list(FAMILIES)}, got {list(values)}")
+        for f in FAMILIES:
+            finite_array(values[f], shape)
+        return values
+    return check
+
+
+# materials in any order but MATERIALS' would apply each weight to another one
+_WEIGHT_FIELDS = {
+    "format": (str, one_of(_WEIGHTS_FORMAT)),
+    "materials": (list, one_of(list(MATERIALS))),
+    "scales": (dict, _per_family((NUM_MATERIALS,))),
+    "tables": (dict, _per_family((NUM_MATERIALS, 2, 2))),
+}
 
 
 @dataclass
@@ -114,9 +134,10 @@ class CrfGraph:
     ``unary`` holds P(C=1) per (material, face), already clamped away from
     0 and 1. ``coeffs`` store the squared coefficient per edge (omega^2,
     d^2, or s^2), each in [0, 1]. ``truth`` optionally carries binary
-    ground-truth labels for training. Edges and coefficients are fixed
-    once constructed (the sparse coupling operator is built from them);
-    weights may be swapped or updated in place at any time.
+    ground-truth labels for training. Edges, coefficients and truth are
+    fixed once constructed (the sparse coupling operator and the truth's
+    score terms are built from them); weights may be swapped or updated in
+    place at any time.
     """
 
     materials: tuple[str, ...]
@@ -127,6 +148,7 @@ class CrfGraph:
     weights: CrfWeights
     truth: np.ndarray | None = None
     _coupling: "_Coupling" = field(init=False, repr=False, compare=False)
+    _truth_terms: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.materials)
@@ -146,6 +168,7 @@ class CrfGraph:
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=np.float64).reshape(m, self.n_faces)
         self._coupling = _Coupling(self.n_faces, self.edges, self.coeffs)
+        self._truth_terms = None if self.truth is None else _score_terms(self, self.truth)
 
     @property
     def n_materials(self) -> int:
@@ -168,16 +191,12 @@ class Marginals:
 
 def face_label_matrix(mesh: LabeledMesh, materials=MATERIALS) -> np.ndarray:
     """Binary (material, face) matrix from the mesh's component label sets."""
-    out = np.zeros((len(materials), mesh.n_faces))
-    index = {name: k for k, name in enumerate(materials)}
-    for f in range(mesh.n_faces):
-        labels = mesh.face_label_set(f)
-        if labels is None:
-            continue
-        for name in labels.names():
-            if name in index:
-                out[index[name], f] = 1.0
-    return out
+    per_component = np.zeros((len(materials), mesh.n_components))
+    for c, labels in enumerate(mesh.labels):
+        for name in labels or ():
+            if name in materials:
+                per_component[materials.index(name), c] = 1.0
+    return per_component[:, mesh.face_component]
 
 
 def build_crf(
@@ -300,7 +319,8 @@ def _energies(q: np.ndarray, g: np.ndarray, offset: np.ndarray, const: np.ndarra
     return const + (q * (0.5 * g - offset) + q * np.log(q) + q0 * np.log(q0)).sum(axis=0)
 
 
-def mean_field_infer(graph: CrfGraph, max_iter: int = 200, tol: float = 1e-8) -> Marginals:
+def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
+                     tol: float = CrfConfig.infer_tol) -> Marginals:
     """Damped synchronous mean field over all materials at once.
 
     Beliefs start at the unaries and form one (F, M) array. Each sweep
@@ -371,27 +391,35 @@ def _pair_stats(graph: CrfGraph, family: str, values: np.ndarray):
     return both0 @ k, both1 @ k, differ @ (1.0 - k)
 
 
-def _log_scores(graph: CrfGraph, values: np.ndarray, m=slice(None)) -> np.ndarray:
-    """Log unnormalized probability of each row of binary ``values``.
+def _score_terms(graph: CrfGraph, values: np.ndarray, m=slice(None)):
+    """The weight-free parts of the log score of each row of binary
+    ``values``: its unary log-probability, and every family's _pair_stats.
 
     By default row i is material i's labeling; with an integer ``m`` every
-    row is a labeling of material m, scored with its unaries and weights.
+    row is a labeling of material m, scored with its unaries.
     """
     u = graph.unary[m]
-    scores = np.einsum("...f,...f->...", values, np.log(u))
-    scores += np.einsum("...f,...f->...", 1.0 - values, np.log(1.0 - u))
+    unary = np.einsum("...f,...f->...", values, np.log(u))
+    unary += np.einsum("...f,...f->...", 1.0 - values, np.log(1.0 - u))
+    return unary, {family: _pair_stats(graph, family, values) for family in FAMILIES}
+
+
+def _log_scores(graph: CrfGraph, terms, m=slice(None)) -> np.ndarray:
+    """Log unnormalized probability of each row from its _score_terms,
+    under the graph's current weights (material m's, with an integer m)."""
+    scores, stats = terms
     for family in FAMILIES:
-        s00, s11, s01 = _pair_stats(graph, family, values)
+        s00, s11, s01 = stats[family]
         w = graph.weights.scales[family][m]
         t = graph.weights.tables[family][m]
-        scores -= w * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
+        scores = scores - w * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
     return scores
 
 
 def assignment_scores(graph: CrfGraph, labels: np.ndarray) -> np.ndarray:
     """Per-material log of the unnormalized probability of a binary labeling."""
     labels = np.asarray(labels, dtype=np.float64).reshape(graph.n_materials, graph.n_faces)
-    return _log_scores(graph, labels)
+    return _log_scores(graph, _score_terms(graph, labels))
 
 
 def _enumerate_material(graph: CrfGraph, m: int):
@@ -404,7 +432,7 @@ def _enumerate_material(graph: CrfGraph, m: int):
     f = graph.n_faces
     bits = (np.arange(2**f, dtype=np.int64)[:, None] >> np.arange(f)) & 1
     bits = bits.astype(np.float64)
-    return bits, _log_scores(graph, bits, m)
+    return bits, _log_scores(graph, _score_terms(graph, bits, m), m)
 
 
 def brute_force_marginals(graph: CrfGraph) -> Marginals:
@@ -430,29 +458,24 @@ class PredictedLabels:
     label_sets: list[tuple[int, ...]]
 
 
-def predict_labels(marginals: Marginals, threshold: float = 0.5) -> PredictedLabels:
+def predict_labels(marginals: Marginals, threshold: float = CrfConfig.label_threshold) -> PredictedLabels:
     """argmax material per face; label set = {m : q >= threshold} or the argmax.
 
     Ties take the lowest material index.
     """
     q = marginals.q
     top1 = np.argmax(q, axis=0)
-    sets = []
-    for f in range(q.shape[1]):
-        chosen = tuple(int(m) for m in np.flatnonzero(q[:, f] >= threshold))
-        if not chosen:
-            chosen = (int(top1[f]),)
-        sets.append(chosen)
+    sets = [tuple(np.flatnonzero(above).tolist()) or (int(m),) for above, m in zip(q.T >= threshold, top1)]
     return PredictedLabels(top1=top1.astype(np.int64), label_sets=sets)
 
 
-def _score_gradient(graph: CrfGraph, values: np.ndarray):
-    """Gradient of the assignment score wrt every weight, with pairwise terms
-    factorized through ``values`` (exact for binary labels)."""
+def _score_gradient(graph: CrfGraph, pair_stats: dict):
+    """Gradient of the assignment score wrt every weight, from every family's
+    _pair_stats of the values (exact for binary labels)."""
     g_scales = {}
     g_tables = {}
     for family in FAMILIES:
-        s00, s11, s01 = _pair_stats(graph, family, values)
+        s00, s11, s01 = pair_stats[family]
         t = graph.weights.tables[family]
         scale = graph.weights.scales[family]
         g_scales[family] = -(t[:, 0, 0] * s00 + t[:, 1, 1] * s11 + t[:, 0, 1] * s01)
@@ -461,7 +484,7 @@ def _score_gradient(graph: CrfGraph, values: np.ndarray):
     return g_scales, g_tables
 
 
-def crf_gradient(graph: CrfGraph, max_iter: int = 200, tol: float = 1e-8):
+def crf_gradient(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter, tol: float = CrfConfig.infer_tol):
     """(data - model) gradient of log P(truth) wrt the graph's weights.
 
     The model expectation uses mean-field marginals with pairwise terms
@@ -472,21 +495,21 @@ def crf_gradient(graph: CrfGraph, max_iter: int = 200, tol: float = 1e-8):
     if graph.truth is None:
         raise MissingDataError("training graph lacks ground-truth labels")
     marg = mean_field_infer(graph, max_iter=max_iter, tol=tol)
-    data_s, data_t = _score_gradient(graph, graph.truth)
-    model_s, model_t = _score_gradient(graph, marg.q)
+    data_s, data_t = _score_gradient(graph, graph._truth_terms[1])
+    model_s, model_t = _score_gradient(graph, {f: _pair_stats(graph, f, marg.q) for f in FAMILIES})
     g_scales = {f: data_s[f] - model_s[f] for f in FAMILIES}
     g_tables = {f: data_t[f] - model_t[f] for f in FAMILIES}
-    approx_ll = float(assignment_scores(graph, graph.truth).sum() + marg.free_energy[-1])
+    approx_ll = float(_log_scores(graph, graph._truth_terms).sum() + marg.free_energy[-1])
     return g_scales, g_tables, approx_ll
 
 
 def train_crf(
     dataset: list[CrfGraph],
     init: CrfWeights | None = None,
-    lr: float = 0.01,
-    iters: int = 50,
-    infer_iter: int = 200,
-    infer_tol: float = 1e-8,
+    lr: float = CrfConfig.lr,
+    iters: int = CrfConfig.iters,
+    infer_iter: int = CrfConfig.infer_iter,
+    infer_tol: float = CrfConfig.infer_tol,
 ) -> tuple[CrfWeights, list[float]]:
     """Gradient ascent on the dataset-mean approximate log-likelihood.
 

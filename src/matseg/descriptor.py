@@ -10,7 +10,6 @@ hand-derived and checked against finite differences in the tests.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
 from .config import DescriptorConfig
-from .errors import MissingDataError
+from .errors import InterchangeError, MissingDataError
+from .jsonl import finite_array, one_of, read_json, write_json
 from .materials import MATERIALS, NUM_MATERIALS
 from .mesh import LabeledMesh
 from .sampling import SurfaceSample, positions_of
@@ -212,9 +212,6 @@ class DescriptorNet:
             "probs": probs,
         }
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def backward(self, cache: dict, d_desc: np.ndarray, d_logits: np.ndarray) -> dict:
         """Backprop given upstream gradients on the raw descriptor and logits."""
         p = self.params
@@ -233,34 +230,33 @@ class DescriptorNet:
         return grads
 
     def save(self, path: str) -> None:
-        flat = []
-        for name in sorted(self.params):
-            flat.extend(float(v) for v in self.params[name].ravel())
-        doc = {
+        """Write the net as JSON: every parameter array flattened, in name order."""
+        write_json(path, {
             "format": _NET_FORMAT,
             "layer_sizes": list(self.layer_sizes),
             "n_classes": self.n_classes,
-            "params": flat,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            "params": np.concatenate([self.params[k].ravel() for k in sorted(self.params)]).tolist(),
+        })
 
     @classmethod
     def load(cls, path: str) -> "DescriptorNet":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != _NET_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {doc.get('format')!r}")
-        net = cls(tuple(doc["layer_sizes"]), int(doc["n_classes"]))
-        flat = np.array(doc["params"], dtype=np.float64)
+        """Read a net written by save; a wrong format, layer sizes or parameter
+        count raises InterchangeError."""
+        fields = {"format": (str, one_of(_NET_FORMAT)), "layer_sizes": list, "n_classes": int,
+                  "params": (list, finite_array)}
+        doc = read_json(path, fields)
+        sizes, n_classes, flat = doc["layer_sizes"], doc["n_classes"], doc["params"]
+        dims = [*sizes, n_classes]  # input, two hidden, descriptor; then the head
+        fits = len(dims) == 5 and all(type(n) is int and n > 0 for n in dims)
+        if not fits or len(flat) != sum(a * b + b for a, b in zip(dims, dims[1:])):
+            raise InterchangeError(
+                path, f"layer sizes {sizes} and {n_classes} classes do not fit {len(flat)} params")
+        net = cls(sizes, n_classes)
         at = 0
         for name in sorted(net.params):
             size = net.params[name].size
             net.params[name] = flat[at : at + size].reshape(net.params[name].shape)
             at += size
-        if at != len(flat):
-            raise ValueError("checkpoint parameter count mismatch")
         return net
 
 
@@ -273,8 +269,6 @@ class PairBatch:
     ya: np.ndarray
     yb: np.ndarray
     positive: np.ndarray
-    idx_a: np.ndarray
-    idx_b: np.ndarray
     combos: list[tuple[int, int]]
 
     def __len__(self) -> int:
@@ -308,10 +302,8 @@ class PairSampler:
         pool = self.by_material[m]
         if len(pool) < 2:
             return None
-        for _ in range(self.MAX_REJECTS):
-            a, b = self.rng.choice(pool, size=2, replace=False)
-            return int(a), int(b)
-        return None
+        a, b = self.rng.choice(pool, size=2, replace=False)
+        return int(a), int(b)
 
     def _draw_negative(self, m1: int, m2: int):
         pool_a = self.by_material[m1]
@@ -354,8 +346,6 @@ class PairSampler:
             ya=self.labels[ia],
             yb=self.labels[ib],
             positive=np.array(positive, dtype=bool),
-            idx_a=ia,
-            idx_b=ib,
             combos=combos,
         )
 

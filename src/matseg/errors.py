@@ -5,14 +5,6 @@ class MatsegError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MalformedObjError(MatsegError):
-    """OBJ file could not be parsed; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class EmptyMeshError(MatsegError):
     """Mesh has no faces or no surface area."""
 
@@ -47,6 +39,10 @@ class InterchangeError(MatsegError):
         super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
+
+
+class MalformedObjError(InterchangeError):
+    """An OBJ file could not be parsed; names the file and the line."""
 
 
 class MissingDataError(MatsegError):

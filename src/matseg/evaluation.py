@@ -8,12 +8,12 @@ point with several true materials contributes to each of their rows.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, InvalidKError
+from .jsonl import write_json
 from .materials import MATERIALS, MaterialLabelSet
 
 DEFAULT_KS = (1, 30, 100)
@@ -151,53 +151,38 @@ class EvalReport:
     confusion: np.ndarray | None = None
 
     def to_obj(self) -> dict:
-        def clean(x):
-            return None if np.isnan(x) else float(x)
+        def table(per_class, mean):  # NaN (no member of a class) as null
+            clean = [None if np.isnan(x) else float(x) for x in (*per_class, mean)]
+            return {"per_class": dict(zip(self.materials, clean[:-1])), "mean": clean[-1]}
 
         obj: dict = {"materials": list(self.materials)}
-        obj["precision_at_k"] = {
-            str(k): {
-                "per_class": {m: clean(v[0][i]) for i, m in enumerate(self.materials)},
-                "mean": clean(v[1]),
-            }
-            for k, v in sorted(self.precision.items())
-        }
+        obj["precision_at_k"] = {str(k): table(*v) for k, v in sorted(self.precision.items())}
         if self.top1 is not None:
-            obj["top1_accuracy"] = {
-                "per_class": {m: clean(self.top1[0][i]) for i, m in enumerate(self.materials)},
-                "mean": clean(self.top1[1]),
-            }
+            obj["top1_accuracy"] = table(*self.top1)
         if self.confusion is not None:
             obj["confusion"] = [[float(x) for x in row] for row in self.confusion]
         return obj
 
     def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_obj())
 
     def save_csv(self, basepath: str) -> None:
         """One CSV per table: <base>_precision.csv, _top1.csv, _confusion.csv."""
+        def cells(*values):  # NaN (no member of a class) as an empty cell
+            return ["" if np.isnan(x) else f"{x:.6f}" for x in values]
+
+        tables = {}
         if self.precision:
-            with open(f"{basepath}_precision.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["k", *self.materials, "mean"])
-                for k, (per_class, mean) in sorted(self.precision.items()):
-                    w.writerow([k, *[f"{x:.6f}" if not np.isnan(x) else "" for x in per_class],
-                                f"{mean:.6f}" if not np.isnan(mean) else ""])
+            tables["precision"] = [["k", *self.materials, "mean"]] + [
+                [k, *cells(*per_class, mean)] for k, (per_class, mean) in sorted(self.precision.items())]
         if self.top1 is not None:
-            with open(f"{basepath}_top1.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow([*self.materials, "mean"])
-                per_class, mean = self.top1
-                w.writerow([*[f"{x:.6f}" if not np.isnan(x) else "" for x in per_class],
-                            f"{mean:.6f}" if not np.isnan(mean) else ""])
+            tables["top1"] = [[*self.materials, "mean"], cells(*self.top1[0], self.top1[1])]
         if self.confusion is not None:
-            with open(f"{basepath}_confusion.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["truth\\pred", *self.materials])
-                for i, m in enumerate(self.materials):
-                    w.writerow([m, *[f"{x:.6f}" for x in self.confusion[i]]])
+            tables["confusion"] = [["truth\\pred", *self.materials]] + [
+                [m, *cells(*row)] for m, row in zip(self.materials, self.confusion)]
+        for name, rows in tables.items():
+            with open(f"{basepath}_{name}.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
 
 
 def build_report(

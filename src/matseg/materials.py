@@ -21,6 +21,16 @@ def material_indices(names, materials=MATERIALS) -> tuple[int, ...]:
     return tuple(materials.index(name) for name in names)
 
 
+def label_map(doc: dict) -> dict[str, list[str]]:
+    """A {part: [material names]} map, returned as is; ValueError unless
+    every value is a list of names in MATERIALS."""
+    for names in doc.values():
+        if type(names) is not list:
+            raise ValueError(f"expected a list of materials, got {names!r}")
+        material_indices(names)
+    return doc
+
+
 class MaterialLabelSet:
     """Immutable set of material labels, stored as a bitmask over MATERIALS.
 
@@ -38,18 +48,6 @@ class MaterialLabelSet:
             except KeyError:
                 raise ValueError(f"unknown material {name!r}; expected one of {MATERIALS}") from None
         self._mask = mask
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "MaterialLabelSet":
-        if not 0 <= mask < (1 << NUM_MATERIALS):
-            raise ValueError(f"mask {mask} out of range")
-        out = cls.__new__(cls)
-        out._mask = mask
-        return out
-
-    @property
-    def mask(self) -> int:
-        return self._mask
 
     def __contains__(self, name: str) -> bool:
         idx = MATERIAL_INDEX.get(name)
@@ -74,10 +72,6 @@ class MaterialLabelSet:
 
     def __repr__(self) -> str:
         return f"MaterialLabelSet({list(self)})"
-
-    def intersects(self, other: "MaterialLabelSet") -> bool:
-        """True when the two sets share at least one material."""
-        return bool(self._mask & other._mask)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)

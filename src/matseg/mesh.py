@@ -7,17 +7,15 @@ are the unit at which ground-truth material labels attach.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
 from .errors import EmptyMeshError, MalformedObjError, NonFiniteGeometryError, UnknownComponentError
-from .materials import MaterialLabelSet
-
-logger = logging.getLogger(__name__)
+from .jsonl import read_json, write_json
+from .materials import MaterialLabelSet, label_map
 
 UPRIGHT_AXIS = np.array([0.0, 1.0, 0.0])
 
@@ -89,7 +87,7 @@ def build_mesh(
     if not finite.all():
         raise NonFiniteGeometryError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     if faces.min() < 0 or faces.max() >= len(vertices):
-        raise MalformedObjError("face references a vertex out of range", line=0)
+        raise ValueError("face references a vertex out of range")
     if len(face_component) != len(faces):
         raise ValueError("face_component length must match face count")
     if face_component.min() < 0 or face_component.max() >= len(component_names):
@@ -190,13 +188,13 @@ def load_obj(path: str) -> LabeledMesh:
             tag = parts[0]
             if tag == "v":
                 if len(parts) < 4:
-                    raise MalformedObjError("vertex needs 3 coordinates", lineno)
+                    raise MalformedObjError(path, "vertex needs 3 coordinates", lineno)
                 try:
                     xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
                 except ValueError:
-                    raise MalformedObjError("bad vertex coordinate", lineno) from None
+                    raise MalformedObjError(path, "bad vertex coordinate", lineno) from None
                 if not all(map(math.isfinite, xyz)):
-                    raise MalformedObjError("non-finite vertex coordinate", lineno)
+                    raise MalformedObjError(path, "non-finite vertex coordinate", lineno)
                 vertices.append(xyz)
             elif tag == "g" or tag == "o":
                 name = " ".join(parts[1:]) if len(parts) > 1 else "default"
@@ -208,16 +206,16 @@ def load_obj(path: str) -> LabeledMesh:
                     try:
                         v = int(head)
                     except ValueError:
-                        raise MalformedObjError(f"bad face index {head!r}", lineno) from None
+                        raise MalformedObjError(path, f"bad face index {head!r}", lineno) from None
                     if v == 0:
-                        raise MalformedObjError("OBJ face indices are 1-based; got 0", lineno)
+                        raise MalformedObjError(path, "OBJ face indices are 1-based; got 0", lineno)
                     if v < 0:
                         v = len(vertices) + 1 + v  # relative indexing
                     if not 1 <= v <= len(vertices):
-                        raise MalformedObjError(f"face index {v} out of range", lineno)
+                        raise MalformedObjError(path, f"face index {v} out of range", lineno)
                     idx.append(v - 1)
                 if len(idx) < 3:
-                    raise MalformedObjError("face needs at least 3 vertices", lineno)
+                    raise MalformedObjError(path, "face needs at least 3 vertices", lineno)
                 if current is None:
                     current = component_id("default")
                 for k in range(1, len(idx) - 1):  # fan triangulation
@@ -243,17 +241,7 @@ def attach_labels(mesh: LabeledMesh, label_doc: dict[str, list[str]]) -> Labeled
                 f"label document names component {name!r}, mesh has {list(mesh.component_names)}"
             )
         labels[mesh.component_names.index(name)] = MaterialLabelSet(material_names)
-    return LabeledMesh(
-        vertices=mesh.vertices,
-        faces=mesh.faces,
-        component_names=mesh.component_names,
-        face_component=mesh.face_component,
-        labels=tuple(labels),
-        face_normals=mesh.face_normals,
-        face_areas=mesh.face_areas,
-        bounding_center=mesh.bounding_center,
-        bounding_radius=mesh.bounding_radius,
-    )
+    return replace(mesh, labels=tuple(labels))
 
 
 def save_obj(path: str, mesh: LabeledMesh) -> None:
@@ -274,22 +262,17 @@ def save_obj(path: str, mesh: LabeledMesh) -> None:
 
 def save_labels(path: str, mesh: LabeledMesh) -> None:
     """Write component material labels as JSON: {labels: {name: [materials]}}."""
-    doc = {
-        "labels": {
-            name: list(mesh.labels[c].names())
-            for c, name in enumerate(mesh.component_names)
-            if mesh.labels[c] is not None
-        }
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"labels": {
+        name: list(mesh.labels[c].names())
+        for c, name in enumerate(mesh.component_names)
+        if mesh.labels[c] is not None
+    }})
 
 
 def load_labels(path: str) -> dict[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return {str(k): [str(m) for m in v] for k, v in doc.get("labels", {}).items()}
+    """Read a labels document written by save_labels; every material must be
+    one of MATERIALS, else InterchangeError names the file."""
+    return read_json(path, {"labels": (dict, label_map)})["labels"]
 
 
 @dataclass(frozen=True)
@@ -316,16 +299,8 @@ def compute_adjacency(mesh: LabeledMesh) -> FaceAdjacency:
     Non-manifold edges (more than two incident faces) connect every incident
     face pair, so smoothing still flows across repository-mesh defects.
     """
-    edge_map = _edge_face_map(mesh.faces)
-    pair_set: set[tuple[int, int]] = set()
-    for face_list in edge_map.values():
-        if len(face_list) < 2:
-            continue
-        for i in range(len(face_list)):
-            for j in range(i + 1, len(face_list)):
-                a, b = face_list[i], face_list[j]
-                if a != b:
-                    pair_set.add((a, b) if a < b else (b, a))
+    pair_set = {(min(a, b), max(a, b)) for face_list in _edge_face_map(mesh.faces).values()
+                for a, b in combinations(face_list, 2) if a != b}
 
     if pair_set:
         pairs = np.array(sorted(pair_set), dtype=np.int64)

@@ -7,8 +7,6 @@ subsampling. All randomness flows through an explicit seed.
 
 from __future__ import annotations
 
-import logging
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,11 +16,9 @@ from scipy.spatial import cKDTree
 from .bvh import TriangleBvh
 from .config import SamplingConfig
 from .errors import EmptyMeshError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import finite_array, read_jsonl, write_jsonl
 from .materials import EMPTY_LABELS, MaterialLabelSet
 from .mesh import LabeledMesh
-
-logger = logging.getLogger(__name__)
 
 _RELAX_CANDIDATES = 8
 
@@ -226,12 +222,6 @@ def save_samples(path: str, samples: list[SurfaceSample]) -> None:
     ))
 
 
-def _point(values: list) -> np.ndarray:
-    if len(values) != 3 or not all(type(x) in (int, float) and math.isfinite(x) for x in values):
-        raise ValueError(f"expected 3 finite numbers, got {values!r}")
-    return np.array(values, dtype=np.float64)
-
-
 def load_samples(path: str, mesh: LabeledMesh | None = None) -> list[SurfaceSample]:
     """Read samples written by save_samples; normals recomputed from the mesh.
 
@@ -242,7 +232,8 @@ def load_samples(path: str, mesh: LabeledMesh | None = None) -> list[SurfaceSamp
             raise ValueError(f"face {f} is not one of the mesh's {mesh.n_faces} faces")
         return f
 
-    fields = {"position": (list, _point), "face": (int, face), "barycentric": (list, _point),
+    point = (list, lambda values: finite_array(values, (3,)))
+    fields = {"position": point, "face": (int, face), "barycentric": point,
               "labels": (list, MaterialLabelSet), "visible": bool}
     return [
         SurfaceSample(rec["position"], rec["face"], rec["barycentric"],

@@ -1,15 +1,16 @@
 """Rigid symmetry detection between mesh components.
 
 Congruent components are matched by ICP started from a ring of rotations
-about the upright axis, optionally composed with axis-aligned mirrors for
-reflective symmetry. Accepted transforms are clustered so each distinct
-symmetry appears once, then expanded into face pairs that feed the CRF's
-symmetry factors.
+about the upright axis, optionally composed with the x or the y mirror for
+reflective symmetry; the z mirror is the x mirror turned half way about the
+upright axis, a start the ring already has. Accepted transforms are
+clustered so each distinct symmetry appears once, then expanded into face
+pairs that feed the CRF's symmetry factors. Detected symmetries are saved
+as one JSON document, face pairs as JSON lines.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from scipy.spatial.transform import Rotation
 
 from .config import SymmetryConfig
 from .errors import DegenerateGeometryError
-from .jsonl import read_jsonl, unit, write_jsonl
+from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
 from .mesh import UPRIGHT_AXIS, LabeledMesh
 
 _N_INIT_ROTATIONS = 8
@@ -109,9 +110,6 @@ class RigidTransform:
         )
         axis = v / (2.0 * np.sin(angle))
         return angle, axis / float(np.linalg.norm(axis))
-
-    def rotation_angle(self) -> float:
-        return self.angle_axis()[0]
 
 
 @dataclass(frozen=True)
@@ -287,25 +285,7 @@ def _y_rotation(angle: float) -> np.ndarray:
 
 def _is_trivial(t: RigidTransform) -> bool:
     # identity and pure translations carry no label-coupling information
-    return t.det > 0 and t.rotation_angle() < _TRIVIAL_ANGLE
-
-
-def _same_cluster(a: RigidTransform, b: RigidTransform, radius: float) -> bool:
-    if a.det * b.det < 0:
-        return False
-    ang_a, ax_a = a.angle_axis()
-    ang_b, ax_b = b.angle_axis()
-    if abs(ang_a - ang_b) > _CLUSTER_ANGLE:
-        return False
-    if np.linalg.norm(a.translation - b.translation) > _CLUSTER_TRANSLATION * radius:
-        return False
-    if max(ang_a, ang_b) > _TRIVIAL_ANGLE:
-        dot = float(np.clip(ax_a @ ax_b, -1.0, 1.0))
-        if ang_a > np.pi - _CLUSTER_ANGLE and ang_b > np.pi - _CLUSTER_ANGLE:
-            dot = abs(dot)  # axis sign is undefined at a half turn
-        if math.acos(dot) > _CLUSTER_AXIS:
-            return False
-    return True
+    return t.det > 0 and t.angle_axis()[0] < _TRIVIAL_ANGLE
 
 
 def detect_symmetries(
@@ -318,8 +298,9 @@ def detect_symmetries(
     """Find rotational and reflective symmetries between components.
 
     Every component pair i <= j (including self pairs) whose principal
-    extents agree is tested under four variants: direct, and mirrored
-    across each axis-aligned plane through the bounding-sphere center. Each
+    extents agree is tested under three variants: direct, and mirrored
+    across the x and the y plane through the bounding-sphere center (the z
+    mirror is the x mirror after a half turn about the upright axis). Each
     variant runs ICP from 8 rotations about the upright axis; fits with
     rmsd below ``rmsd_threshold * bounding_radius`` are kept, and for
     i < j their inverses stand for the pair (j, i). Near-identity and
@@ -346,9 +327,7 @@ def detect_symmetries(
         targets.append(cloud)
         normals.append(mesh.face_normals[faces])
 
-    variants = [RigidTransform.identity()] + [
-        _axis_mirror(axis, center) for axis in range(3)
-    ]
+    variants = [RigidTransform.identity(), _axis_mirror(0, center), _axis_mirror(1, center)]
     angles = [2.0 * np.pi * k / _N_INIT_ROTATIONS for k in range(_N_INIT_ROTATIONS)]
     tol = 1e-9 * radius
     accept = rmsd_threshold * radius
@@ -361,7 +340,7 @@ def detect_symmetries(
         return _congruent(signatures[i], signatures[j], accept)
 
     # mirroring the source cloud instead of the target keeps one tree per
-    # target component serving all four variants. Only pairs i <= j are
+    # target component serving all three variants. Only pairs i <= j are
     # fitted: a fit of i onto j inverted is a fit of j onto i.
     candidates: list[tuple[RigidTransform, int, int, float]] = []
     for i in range(n_comp):
@@ -481,8 +460,10 @@ def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
             x = parent[x]
         return x
 
-    # vectorized _same_cluster over all pairs; candidate counts reach the
-    # hundreds and per-pair angle_axis calls dominate otherwise
+    # two candidates share a cluster when they have the same kind, close
+    # angles, axes (either sign at a half turn; any axis near the identity)
+    # and translations; tested for all pairs at once, as candidate counts
+    # reach the hundreds
     dets = np.array([c[0].det for c in candidates])
     trans = np.stack([c[0].translation for c in candidates])
     angs = np.empty(m)
@@ -578,45 +559,40 @@ def symmetry_pairs(
     return [best[k] for k in sorted(best)]
 
 
-def transform_to_obj(t: RigidTransform) -> dict:
-    flat = np.hstack([t.rotation, t.translation.reshape(3, 1)]).ravel()
-    return {"matrix": [float(x) for x in flat], "kind": t.kind}
-
-
-def transform_from_obj(obj: dict) -> RigidTransform:
-    m = np.array(obj["matrix"], dtype=np.float64).reshape(3, 4)
+def _transform(matrix: list) -> RigidTransform:
+    """A RigidTransform from its 3x4 matrix [R | t], row by row."""
+    m = finite_array(matrix, (12,)).reshape(3, 4)
     return RigidTransform(m[:, :3], m[:, 3])
 
 
+def _symmetry(rec) -> DetectedSymmetry:
+    fields = {"matrix": (list, _transform), "source_component": int,
+              "target_component": int, "rmsd": float, "transform_id": int}
+    rec = check_record(rec, fields)
+    return DetectedSymmetry(*(rec[key] for key in fields))  # in field order
+
+
 def save_symmetries(path: str, symmetries: list[DetectedSymmetry]) -> None:
-    records = []
-    for s in symmetries:
-        rec = transform_to_obj(s.transform)
-        rec.update(
-            source_component=s.source_component,
-            target_component=s.target_component,
-            rmsd=s.rmsd,
-            transform_id=s.transform_id,
-        )
-        records.append(rec)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"symmetries": records}, fh, indent=1)
-        fh.write("\n")
+    """Write {symmetries: [...]}, each entry's transform as a 3x4 matrix
+    [R | t] flattened row by row, with its kind."""
+    write_json(path, {"symmetries": [
+        {
+            "matrix": np.hstack([s.transform.rotation, s.transform.translation[:, None]]).ravel().tolist(),
+            "kind": s.transform.kind,
+            "source_component": s.source_component,
+            "target_component": s.target_component,
+            "rmsd": s.rmsd,
+            "transform_id": s.transform_id,
+        }
+        for s in symmetries
+    ]})
 
 
 def load_symmetries(path: str) -> list[DetectedSymmetry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [
-        DetectedSymmetry(
-            transform=transform_from_obj(rec),
-            source_component=int(rec["source_component"]),
-            target_component=int(rec["target_component"]),
-            rmsd=float(rec["rmsd"]),
-            transform_id=int(rec["transform_id"]),
-        )
-        for rec in doc["symmetries"]
-    ]
+    """Read symmetries written by save_symmetries; a matrix that is not 12
+    finite numbers forming an orthogonal [R | t] raises InterchangeError."""
+    doc = read_json(path, {"symmetries": (list, lambda recs: [_symmetry(r) for r in recs])})
+    return doc["symmetries"]
 
 
 def save_symmetry_pairs(path: str, pairs: list[SymmetryPair]) -> None:

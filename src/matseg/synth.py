@@ -10,13 +10,13 @@ symmetry, which makes detector output enumerable in tests.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .materials import MATERIALS, MaterialLabelSet
+from .jsonl import one_of, read_json, write_json
+from .materials import MATERIALS, MaterialLabelSet, label_map
 from .mesh import LabeledMesh, build_mesh
 
 CATEGORIES = ("table", "chair", "cabinet")
@@ -53,39 +53,38 @@ class SynthSpec:
     jitter: float = 0.0
     seed: int = 0
 
-    def to_obj(self) -> dict:
-        return {
-            "category": self.category,
-            "legs": self.legs,
-            "leg_shape": self.leg_shape,
-            "top_shape": self.top_shape,
-            "materials": self.materials,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SynthSpec":
-        return cls(
-            category=obj.get("category", "table"),
-            legs=int(obj.get("legs", 4)),
-            leg_shape=obj.get("leg_shape", "prism"),
-            top_shape=obj.get("top_shape", "pinwheel"),
-            materials={k: list(v) for k, v in obj.get("materials", {}).items()},
-            jitter=float(obj.get("jitter", 0.0)),
-            seed=int(obj.get("seed", 0)),
-        )
+def _jitter(value) -> float:
+    if value < 0:
+        raise ValueError(f"jitter {value!r} is negative")
+    return float(value)
+
+
+def _seed(value: int) -> int:
+    if value < 0:
+        raise ValueError(f"seed {value} is negative")
+    return value
+
+
+# a spec document names every field of SynthSpec
+_SPEC_FIELDS = {
+    "category": (str, one_of(*CATEGORIES)),
+    "legs": int,
+    "leg_shape": (str, one_of(*LEG_SHAPES)),
+    "top_shape": (str, one_of(*TOP_SHAPES)),
+    "materials": (dict, label_map),
+    "jitter": (float, _jitter),
+    "seed": (int, _seed),
+}
 
 
 def save_spec(path: str, spec: SynthSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_obj(), fh, indent=1)
-        fh.write("\n")
+    write_json(path, asdict(spec))
 
 
 def load_spec(path: str) -> SynthSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SynthSpec.from_obj(json.load(fh))
+    doc = read_json(path, _SPEC_FIELDS)
+    return SynthSpec(**{key: doc[key] for key in _SPEC_FIELDS})
 
 
 def _prism(
@@ -246,13 +245,10 @@ class _Builder:
 def _materials_for(spec: SynthSpec, part: str) -> list[str]:
     base = part.rsplit("_", 1)[0]
     if part in spec.materials:
-        found = spec.materials[part]
-    elif base in spec.materials:
-        found = spec.materials[base]
-    else:
-        found = DEFAULT_MATERIALS[spec.category].get(base, ["wood"])
-    # a bare material name means a single-label assignment
-    return [found] if isinstance(found, str) else list(found)
+        return spec.materials[part]
+    if base in spec.materials:
+        return spec.materials[base]
+    return DEFAULT_MATERIALS[spec.category].get(base, ["wood"])
 
 
 def _table(spec: SynthSpec) -> _Builder:

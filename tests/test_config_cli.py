@@ -123,6 +123,10 @@ def test_cli_error_paths(tmp_path):
     base = ["synth", "--spec", spec, "--out", str(tmp_path / "x")]
     assert cli.main(base + ["--set", "noequals"]) == 1
     assert cli.main(base + ["--set", "run.bogus=1"]) == 1
+    # a negative seed, from the flag or the config, fails before numpy sees it
+    assert cli.main(base + ["--seed", "-1"]) == 1
+    assert cli.main(base + ["--set", "run.seed=-1"]) == 1
+    assert not (tmp_path / "x").exists()
     # unreadable spec file
     assert cli.main(["synth", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "y")]) == 1
@@ -274,3 +278,61 @@ def test_cli_infer_rejects_pair_outside_mesh(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "dist: edge references an invalid face" in errors[0]
     assert "Traceback" not in caplog.text
+
+
+def set_key(key, value):
+    """Damage: set one top-level key of a JSON document."""
+    def damage(text):
+        doc = json.loads(text)
+        doc[key] = value(doc[key]) if callable(value) else value
+        return json.dumps(doc)
+    return damage
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("labels.json", lambda text: '{"labels": {"top": ["sand"]}}', "unknown material 'sand'"),
+    ("labels.json", lambda text: text.replace('"labels"', '"lables"'), "expected {labels: dict}"),
+    ("labels.json", lambda text: '{"labels": ["wood"]}', "expected {labels: dict}"),
+    ("spec.json", set_key("category", "sofa"),
+     "expected 'table' or 'chair' or 'cabinet', got 'sofa'"),
+    ("spec.json", set_key("legs", "four"), "expected {category: str, legs: int,"),
+    ("spec.json", lambda text: text.replace('"metal"', '"sand"'), "unknown material 'sand'"),
+    ("spec.json", set_key("jitter", math.nan), "jitter: float"),
+    ("spec.json", set_key("seed", -1), "seed -1 is negative"),
+    ("net.json", set_key("format", "descriptor-net-v2"),
+     "expected 'descriptor-net-v1', got 'descriptor-net-v2'"),
+    ("net.json", set_key("params", lambda params: params[:-1]),
+     "layer sizes [64, 128, 64, 32] and 5 classes do not fit 18820 params"),
+    ("crf_weights.json", lambda text: text[:len(text) // 2], "invalid JSON"),
+    ("crf_weights.json", set_key("scales", {}), "expected an entry for each of ['adj', 'dist', 'sym']"),
+    ("crf_weights.json", lambda text: f"[{text}]", "expected {format: str, materials: list,"),
+    ("crf_weights.json", set_key("materials", lambda names: names[::-1]),
+     "expected ['wood', 'plastic', 'metal', 'glass', 'fabric'], got ['fabric',"),
+])
+def test_cli_rejects_damaged_documents(tmp_path, caplog, name, damage, message):
+    from matseg.crf import CrfWeights
+    from matseg.descriptor import DescriptorNet
+
+    out = infer_ready_shape(tmp_path)
+    DescriptorNet(seed=0).save(str(out / "net.json"))
+    CrfWeights.ones().save(str(out / "crf_weights.json"))
+    path = out / name
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    argv, result = {
+        "labels.json": (["sample", "--shape", str(out), "-n", "60", "-k", "30"],
+                        out / "samples.jsonl"),
+        "spec.json": (["synth", "--spec", str(path), "--out", str(tmp_path / "again")],
+                      tmp_path / "again" / "mesh.obj"),
+        "net.json": (["predict", "--shape", str(out), "--net", str(path)],
+                     out / "sample_probs.jsonl"),
+        "crf_weights.json": (["infer", "--shape", str(out), "--weights", str(path)],
+                             out / "predictions.jsonl"),
+    }[name]
+    if result.exists():
+        result.unlink()
+    caplog.clear()
+    assert cli.main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(path) in errors[0] and message in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not result.exists()

@@ -1,4 +1,9 @@
-"""Damaged JSON-lines interchange files: read whole or rejected, never half-read."""
+"""Damaged interchange files, JSON lines and JSON documents: read whole or
+rejected, never half-read."""
+
+import ast
+import dataclasses
+import pathlib
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +11,7 @@ from hypothesis import strategies as st
 
 from matseg.cli import read_face_truth, write_face_truth
 from matseg.crf import (
+    CrfWeights,
     Marginals,
     PredictedLabels,
     load_face_predictions,
@@ -14,13 +20,23 @@ from matseg.crf import (
     save_face_predictions,
     save_sample_probs,
 )
+from matseg.descriptor import DescriptorNet
 from matseg.errors import MatsegError
 from matseg.geodesics import DistancePair, load_distance_pairs, save_distance_pairs
 from matseg.jsonl import write_jsonl
 from matseg.materials import MATERIALS
-from matseg.mesh import attach_labels
+from matseg.mesh import attach_labels, load_labels, save_labels
 from matseg.sampling import load_samples, sample_surface_points, save_samples
-from matseg.symmetry import SymmetryPair, load_symmetry_pairs, save_symmetry_pairs
+from matseg.symmetry import (
+    DetectedSymmetry,
+    RigidTransform,
+    SymmetryPair,
+    load_symmetries,
+    load_symmetry_pairs,
+    save_symmetries,
+    save_symmetry_pairs,
+)
+from matseg.synth import SynthSpec, load_spec, save_spec
 
 from conftest import strip_mesh
 
@@ -28,6 +44,18 @@ MESH = attach_labels(strip_mesh(2), {"strip": ["wood", "metal"]})
 _RNG = np.random.default_rng(7)
 _Q = _RNG.uniform(0.05, 0.95, size=(len(MATERIALS), MESH.n_faces))
 _PROBS = _RNG.uniform(0.0, 1.0, size=(3, len(MATERIALS)))
+_SPEC = SynthSpec(category="chair", legs=3, leg_shape="box", top_shape="round",
+                  materials={"seat": ["fabric"], "leg": ["metal", "wood"]}, jitter=0.002, seed=12)
+_MIRROR = np.diag([-1.0, 1.0, 1.0])
+_SYMMETRIES = [
+    DetectedSymmetry(RigidTransform(_MIRROR, [0.25, 0.0, 0.0]), 0, 1, 0.0125, 0),
+    DetectedSymmetry(RigidTransform(np.eye(3)[[2, 1, 0]] * [[1], [1], [-1]], [0.0, 0.0, 0.5]),
+                     2, 3, 0.0078125, 1),
+]
+_NET = DescriptorNet(layer_sizes=(3, 2, 2, 2), n_classes=2, seed=4)
+_WEIGHTS = CrfWeights.ones()
+_WEIGHTS.scales["dist"][2] = 1.75
+_WEIGHTS.tables["sym"][1, 0, 1] = _WEIGHTS.tables["sym"][1, 1, 0] = 0.25
 
 
 def _save_truth(path, truth):
@@ -44,6 +72,16 @@ def _save_predictions(path, result):
 def _sample_key(samples):
     return [(s.position.tolist(), s.face, s.barycentric.tolist(), s.labels, s.visible)
             for s in samples]
+
+
+def _symmetries_key(symmetries):
+    return [(s.transform.rotation.tolist(), s.transform.translation.tolist(),
+             s.source_component, s.target_component, s.rmsd, s.transform_id)
+            for s in symmetries]
+
+
+def _net_key(net):
+    return net.layer_sizes, net.n_classes, [net.params[k].tolist() for k in sorted(net.params)]
 
 
 def _arrays_key(result):
@@ -94,10 +132,40 @@ FORMATS = {
         _save_truth,
         _arrays_key,
     ),
+    "labels": (
+        lambda path: save_labels(path, MESH),
+        lambda path: attach_labels(strip_mesh(2), load_labels(path)),
+        save_labels,
+        lambda mesh: [labels and labels.names() for labels in mesh.labels],
+    ),
+    "spec": (
+        lambda path: save_spec(path, _SPEC),
+        load_spec,
+        save_spec,
+        dataclasses.asdict,
+    ),
+    "symmetries": (
+        lambda path: save_symmetries(path, _SYMMETRIES),
+        load_symmetries,
+        save_symmetries,
+        _symmetries_key,
+    ),
+    "net": (
+        _NET.save,
+        DescriptorNet.load,
+        lambda path, net: net.save(path),
+        _net_key,
+    ),
+    "crf_weights": (
+        _WEIGHTS.save,
+        CrfWeights.load,
+        lambda path, weights: weights.save(path),
+        CrfWeights.to_obj,
+    ),
 }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=600, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     name=st.sampled_from(sorted(FORMATS)),
@@ -107,7 +175,7 @@ FORMATS = {
 )
 def test_damaged_file_reads_whole_or_raises(tmp_path, name, op, where, byte):
     write, read, rewrite, key = FORMATS[name]
-    path = str(tmp_path / f"{name}.jsonl")
+    path = str(tmp_path / name)
     write(path)
     data = bytearray(open(path, "rb").read())
     original = key(read(path))
@@ -127,6 +195,19 @@ def test_damaged_file_reads_whole_or_raises(tmp_path, name, op, where, byte):
     # accepted: either the damage left the content as it was, or it changed a
     # value into another valid one, which the writer writes and reads back as is
     if key(result) != original:
-        again = str(tmp_path / "again.jsonl")
+        again = str(tmp_path / "again")
         rewrite(again, result)
         assert key(read(again)) == key(result)
+
+
+def test_only_jsonl_imports_json():
+    """The interchange layouts and their checks live in one module."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "matseg"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "json" or n.startswith("json.") for n in names if n):
+                importers.add(path.name)
+    assert importers == {"jsonl.py"}

@@ -58,6 +58,7 @@ def test_one_based_indexing_enforced(tmp_path):
     with pytest.raises(MalformedObjError) as exc:
         load_obj(str(p))
     assert exc.value.line == 4
+    assert str(exc.value) == f"{p}, line 4: OBJ face indices are 1-based; got 0"
 
 
 def test_no_faces_rejected(tmp_path):
