@@ -1,8 +1,15 @@
 """Axis-aligned BVH over triangles for batched ray queries.
 
-Rays are traversed in packets: every node visit runs a vectorized slab test
-for the rays still active there, so the Python-level cost scales with the
-node count rather than the ray count.
+The tree is stored as flat node arrays. A query gives every ray its own
+small stack of node ids and advances all active rays together, one node
+per ray per step. A step runs one vectorized slab test over the popped
+nodes, pushes the children of the entered inner nodes (far first, so the
+near one is popped next), and runs one Möller-Trumbore test over every
+(ray, triangle) pair of the entered leaves. The Python-level cost is a few
+dozen numpy calls per step, and the number of steps is the longest
+traversal of any one ray, not the node count or the ray count. ``any_hit``
+retires a ray at its first hit; ``first_hit`` culls the nodes that lie
+beyond the nearest hit found so far.
 """
 
 from __future__ import annotations
@@ -26,118 +33,143 @@ class TriangleBvh:
         hi = tri.max(axis=1)
         centroids = tri.mean(axis=1)
 
-        # Nodes as parallel lists; children as indices, leaves by (start, count)
-        # into self.order.
-        self.node_lo: list[np.ndarray] = []
-        self.node_hi: list[np.ndarray] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.start: list[int] = []
-        self.count: list[int] = []
-        self.order = np.arange(n)
+        # Children as node indices (-1 at leaves); the split axis orders the
+        # left child's centroids below the right child's. Leaves list their
+        # triangles in leaf_tris, padded with -1.
+        node_lo, node_hi, left, right, axes, leaves = [], [], [], [], [], []
+        order = np.arange(n)
+        depth = 0
 
-        def build(begin: int, end: int) -> int:
-            node = len(self.node_lo)
-            idx = self.order[begin:end]
-            self.node_lo.append(lo[idx].min(axis=0))
-            self.node_hi.append(hi[idx].max(axis=0))
-            self.left.append(-1)
-            self.right.append(-1)
-            self.start.append(begin)
-            self.count.append(end - begin)
-            if end - begin > _LEAF_SIZE:
-                cen = centroids[idx]
-                axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-                mid = (begin + end) // 2
-                part = np.argsort(cen[:, axis], kind="stable")
-                self.order[begin:end] = idx[part]
-                self.left[node] = build(begin, mid)
-                self.right[node] = build(mid, end)
+        def build(begin: int, end: int, level: int) -> int:
+            nonlocal depth
+            depth = max(depth, level)
+            node = len(node_lo)
+            idx = order[begin:end]
+            node_lo.append(lo[idx].min(axis=0))
+            node_hi.append(hi[idx].max(axis=0))
+            left.append(-1)
+            right.append(-1)
+            axes.append(0)
+            if end - begin <= _LEAF_SIZE:
+                leaves.append((node, idx))
+                return node
+            cen = centroids[idx]
+            axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
+            mid = (begin + end) // 2
+            order[begin:end] = idx[np.argsort(cen[:, axis], kind="stable")]
+            axes[node] = axis
+            left[node] = build(begin, mid, level + 1)
+            right[node] = build(mid, end, level + 1)
             return node
 
-        build(0, n)
-        self.node_lo = np.array(self.node_lo)
-        self.node_hi = np.array(self.node_hi)
-
-    def _slab(self, node: int, origins, inv_dirs, t_max):
-        t1 = (self.node_lo[node] - origins) * inv_dirs
-        t2 = (self.node_hi[node] - origins) * inv_dirs
-        tnear = np.minimum(t1, t2).max(axis=1)
-        tfar = np.maximum(t1, t2).min(axis=1)
-        return (tnear <= tfar) & (tfar >= 0.0) & (tnear <= t_max)
-
-    def _tri_hits(self, tri_ids, origins, dirs, t_lo, t_hi):
-        """Nearest hit parameter per ray against the given triangles (inf if none)."""
-        best = np.full(len(origins), np.inf)
-        for t in tri_ids:
-            pvec = np.cross(dirs, self.e2[t])
-            det = pvec @ self.e1[t]
-            valid = np.abs(det) > 1e-300
-            inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-            tvec = origins - self.v0[t]
-            u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-            qvec = np.cross(tvec, self.e1[t])
-            v = np.einsum("ij,ij->i", qvec, dirs) * inv_det
-            t_hit = (qvec @ self.e2[t]) * inv_det
-            hit = (
-                valid
-                & (u >= -1e-12)
-                & (v >= -1e-12)
-                & (u + v <= 1.0 + 1e-12)
-                & (t_hit > t_lo)
-                & (t_hit < t_hi)
-            )
-            best = np.where(hit & (t_hit < best), t_hit, best)
-        return best
+        build(0, n, 0)
+        self.node_lo = np.array(node_lo)
+        self.node_hi = np.array(node_hi)
+        self.left = np.array(left, dtype=np.int64)
+        self.right = np.array(right, dtype=np.int64)
+        self.axis = np.array(axes, dtype=np.int64)
+        self.leaf_tris = np.full((len(node_lo), _LEAF_SIZE), -1, dtype=np.int64)
+        for node, idx in leaves:
+            self.leaf_tris[node, : len(idx)] = idx
+        self.depth = depth
 
     def any_hit(self, origins: np.ndarray, dirs: np.ndarray, t_max: np.ndarray, t_min: float = 0.0) -> np.ndarray:
         """Boolean per ray: does anything block it within (t_min, t_max)?"""
-        origins = np.atleast_2d(origins)
-        dirs = np.atleast_2d(dirs)
+        origins, dirs = np.atleast_2d(origins), np.atleast_2d(dirs)
         t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (len(origins),))
-        with np.errstate(divide="ignore"):
-            inv_dirs = 1.0 / dirs
-        blocked = np.zeros(len(origins), dtype=bool)
-
-        def visit(node: int, rays: np.ndarray) -> None:
-            rays = rays[~blocked[rays]]
-            if len(rays) == 0:
-                return
-            mask = self._slab(node, origins[rays], inv_dirs[rays], t_max[rays])
-            rays = rays[mask]
-            if len(rays) == 0:
-                return
-            if self.left[node] < 0:
-                ids = self.order[self.start[node] : self.start[node] + self.count[node]]
-                t_hit = self._tri_hits(ids, origins[rays], dirs[rays], t_min, t_max[rays])
-                blocked[rays[np.isfinite(t_hit)]] = True
-            else:
-                visit(self.left[node], rays)
-                visit(self.right[node], rays)
-
-        visit(0, np.arange(len(origins)))
-        return blocked
+        t = self._traverse(origins, dirs, t_min, t_max.copy(), any_hit=True)
+        return t < t_max
 
     def first_hit(self, origins: np.ndarray, dirs: np.ndarray, t_min: float = 0.0) -> np.ndarray:
         """Distance to the nearest intersection per ray, inf when nothing is hit."""
-        origins = np.atleast_2d(origins)
-        dirs = np.atleast_2d(dirs)
+        origins, dirs = np.atleast_2d(origins), np.atleast_2d(dirs)
+        return self._traverse(origins, dirs, t_min, np.full(len(origins), np.inf), any_hit=False)
+
+    def _traverse(self, origins, dirs, t_min, best, any_hit: bool) -> np.ndarray:
+        """Lower ``best`` to each ray's hit parameter in (t_min, best).
+
+        With ``any_hit`` a ray stops at the first hit it finds, which need
+        not be the nearest one.
+        """
+        n = len(origins)
         with np.errstate(divide="ignore"):
             inv_dirs = 1.0 / dirs
-        best = np.full(len(origins), np.inf)
+        # popping a node at level L leaves at most one waiting far sibling
+        # per level above it; its two children then fill at most L + 2 <=
+        # depth + 1 slots
+        stack = np.empty((n, self.depth + 1), dtype=np.int32)
+        stack[:, 0] = 0
+        size = np.ones(n, dtype=np.int64)
+        active = np.arange(n)
+        while len(active):
+            size[active] -= 1
+            nodes = stack[active, size[active]]
+            o = origins[active]
+            inv = inv_dirs[active]
+            # 0 * inf is nan where a ray runs inside the plane of a box face;
+            # that axis then bounds nothing, so the reductions skip nans
+            with np.errstate(invalid="ignore"):
+                t1 = (self.node_lo[nodes] - o) * inv
+                t2 = (self.node_hi[nodes] - o) * inv
+            tnear = np.fmax.reduce(np.minimum(t1, t2), axis=1)
+            tfar = np.fmin.reduce(np.maximum(t1, t2), axis=1)
+            enter = (tnear <= tfar) & (tfar >= 0.0) & (tnear <= best[active])
+            rays, nodes = active[enter], nodes[enter]
 
-        def visit(node: int, rays: np.ndarray) -> None:
-            mask = self._slab(node, origins[rays], inv_dirs[rays], best[rays])
-            rays = rays[mask]
-            if len(rays) == 0:
-                return
-            if self.left[node] < 0:
-                ids = self.order[self.start[node] : self.start[node] + self.count[node]]
-                t_hit = self._tri_hits(ids, origins[rays], dirs[rays], t_min, best[rays])
-                np.minimum.at(best, rays, t_hit)
-            else:
-                visit(self.left[node], rays)
-                visit(self.right[node], rays)
+            inner = self.left[nodes] >= 0
+            r, nd = rays[inner], nodes[inner]
+            flip = dirs[r, self.axis[nd]] < 0.0
+            top = size[r]
+            stack[r, top] = np.where(flip, self.left[nd], self.right[nd])
+            stack[r, top + 1] = np.where(flip, self.right[nd], self.left[nd])
+            size[r] = top + 2
 
-        visit(0, np.arange(len(origins)))
+            r, tris = rays[~inner], self.leaf_tris[nodes[~inner]]
+            if len(r):
+                row, col = np.nonzero(tris >= 0)
+                ray = r[row]
+                t = self._intersect(origins[ray], dirs[ray], tris[row, col], t_min, best[ray])
+                if any_hit:
+                    hit = ray[t < np.inf]
+                    best[hit] = t[t < np.inf]
+                    size[hit] = 0
+                else:
+                    np.minimum.at(best, ray, t)
+            active = active[size[active] > 0]
         return best
+
+    def _intersect(self, origins, dirs, tris, t_lo, t_hi) -> np.ndarray:
+        """Möller-Trumbore hit parameter per (ray, triangle) pair, inf on a miss."""
+        e1 = self.e1[tris]
+        e2 = self.e2[tris]
+        pvec = _cross(dirs, e2)
+        det = _dot(pvec, e1)
+        valid = np.abs(det) > 1e-300
+        inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+        tvec = origins - self.v0[tris]
+        u = _dot(tvec, pvec) * inv_det
+        qvec = _cross(tvec, e1)
+        v = _dot(qvec, dirs) * inv_det
+        t = _dot(qvec, e2) * inv_det
+        hit = (
+            valid
+            & (u >= -1e-12)
+            & (v >= -1e-12)
+            & (u + v <= 1.0 + 1e-12)
+            & (t > t_lo)
+            & (t < t_hi)
+        )
+        return np.where(hit, t, np.inf)
+
+
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product, the arithmetic of np.cross without its axis handling."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)

@@ -31,7 +31,7 @@ from .crf import (
     train_crf,
 )
 from .descriptor import DescriptorNet, extract_features, label_matrix, predict_probs, train_descriptor
-from .errors import ConfigError, MatsegError
+from .errors import ConfigError, InterchangeError, MatsegError, UnknownComponentError
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
 from .jsonl import read_jsonl, write_jsonl
@@ -159,7 +159,11 @@ def _load_shape(mesh_path: str, with_labels: bool = True):
     mesh = load_obj(mesh_path)
     labels_path = os.path.join(os.path.dirname(mesh_path), LABELS_FILE)
     if with_labels and os.path.exists(labels_path):
-        mesh = attach_labels(mesh, load_labels(labels_path))
+        doc = load_labels(labels_path)
+        try:
+            mesh = attach_labels(mesh, doc)
+        except UnknownComponentError as exc:
+            raise InterchangeError(labels_path, str(exc)) from None
     return mesh
 
 

@@ -35,13 +35,14 @@ _ADAM_EPS = 1e-8
 _THICKNESS_CONE = 4
 _NET_FORMAT = "descriptor-net-v1"
 _PER_RADIUS = 17
+_BLOCK_PAIRS = 32768
+# the second-moment matrix's upper triangle, and where each of its nine
+# entries finds its sum among them
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SECOND = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
-def extract_features(
-    mesh: LabeledMesh,
-    samples: list[SurfaceSample],
-    bvh: TriangleBvh | None = None,
-) -> np.ndarray:
+def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndarray:
     """Fill and return 64-dim feature vectors for every sample.
 
     Per radius (0.25/0.5/1.0 of the bounding radius): neighbor density,
@@ -52,8 +53,6 @@ def extract_features(
     """
     if not samples:
         return np.zeros((0, FEATURE_DIM))
-    if bvh is None:
-        bvh = TriangleBvh(mesh.vertices, mesh.faces)
     pos = positions_of(samples)
     normals = np.array([s.normal for s in samples])
     radius = mesh.bounding_radius
@@ -63,36 +62,8 @@ def extract_features(
     out = np.zeros((n, FEATURE_DIM))
 
     for ri, frac in enumerate(FEATURE_RADII):
-        hood = tree.query_ball_point(pos, frac * radius)
         base = ri * _PER_RADIUS
-        for i in range(n):
-            idx = np.array(hood[i], dtype=np.int64)
-            idx = idx[idx != i]
-            if len(idx) == 0:
-                continue
-            rel = pos[idx] - pos[i]
-            out[i, base + 0] = len(idx) / n
-            cov = rel.T @ rel / len(idx)
-            ev = np.linalg.eigvalsh(cov)[::-1]
-            ev = np.maximum(ev, 0.0)
-            total = ev.sum()
-            if total > 0.0:
-                out[i, base + 1 : base + 4] = ev / total
-            if ev[0] > 0.0:
-                out[i, base + 4] = ev[1] / ev[0]
-                out[i, base + 5] = ev[2] / ev[0]
-                out[i, base + 6] = (ev[0] - ev[1]) / ev[0]
-                out[i, base + 7] = (ev[1] - ev[2]) / ev[0]
-                out[i, base + 8] = (ev[0] - ev[2]) / ev[0]
-            cos = np.clip(normals[idx] @ normals[i], -1.0, 1.0)
-            ang = np.arccos(cos)
-            hist, _ = np.histogram(ang, bins=4, range=(0.0, np.pi))
-            out[i, base + 9 : base + 13] = hist / len(idx)
-            out[i, base + 13] = float(np.mean(np.abs(cos)))
-            rr = frac * radius
-            out[i, base + 14] = float(np.linalg.norm(rel.mean(axis=0))) / rr
-            out[i, base + 15] = float(np.sqrt(np.mean(np.sum(rel * rel, axis=1)))) / rr
-            out[i, base + 16] = float(np.mean(rel @ normals[i])) / rr
+        out[:, base : base + _PER_RADIUS] = _neighborhood_stats(tree, pos, normals, frac * radius)
 
     g = 3 * _PER_RADIUS
     min_y = float(mesh.vertices[:, 1].min())
@@ -102,8 +73,7 @@ def extract_features(
     out[:, g + 3] = (radius - np.linalg.norm(pos - center, axis=1)) / radius
     out[:, g + 4] = normals[:, 1]
     out[:, g + 5] = np.abs(normals[:, 1])
-    out[:, g + 6] = _thickness(bvh, pos, normals, radius, cone=False)
-    out[:, g + 7] = _thickness(bvh, pos, normals, radius, cone=True)
+    out[:, g + 6], out[:, g + 7] = _thickness(TriangleBvh(mesh.vertices, mesh.faces), pos, normals, radius)
 
     total_area = mesh.total_area()
     comp_area = np.zeros(mesh.n_components)
@@ -137,15 +107,65 @@ def extract_features(
     return out
 
 
-def _thickness(bvh, pos, normals, radius, cone: bool) -> np.ndarray:
-    """Normalized distance of an inward ray (or small inward cone) to the
-    opposite wall; misses read as the full 2R cap."""
+def _neighborhood_stats(tree, pos, normals, rr: float) -> np.ndarray:
+    """The 17 per-radius features of every sample, from the other samples
+    within ``rr`` of it.
+
+    Each pair of samples within ``rr`` is found once and adds to the sums of
+    both its ends, one ``bincount`` per sum; pairs go in blocks of
+    ``_BLOCK_PAIRS`` so memory stays bounded at the largest radius. The
+    statistics then come from the sums for all samples at once.
+    """
+    n = len(pos)
+    edges = np.linspace(0.0, np.pi, 5)  # the edges of np.histogram(bins=4, range=(0, pi))
+    pairs = tree.query_pairs(rr, output_type="ndarray")
+    count = np.zeros(n)
+    hist = np.zeros(4 * n)
+    # per sample: the six second moments of _UPPER, |cos|, |rel|^2, rel, rel . normal
+    sums = np.zeros((12, n))
+    for start in range(0, len(pairs), _BLOCK_PAIRS):
+        a, b = pairs[start : start + _BLOCK_PAIRS].T
+        rel = pos[b] - pos[a]  # seen from a; seen from b it is -rel
+        cos = np.clip(np.einsum("ij,ij->i", normals[a], normals[b]), -1.0, 1.0)
+        both = [rel[:, p] * rel[:, q] for p, q in _UPPER] + [np.abs(cos), np.einsum("ij,ij->i", rel, rel)]
+        at_a = both + list(rel.T) + [np.einsum("ij,ij->i", rel, normals[a])]
+        at_b = both + list(-rel.T) + [-np.einsum("ij,ij->i", rel, normals[b])]
+        for k, (wa, wb) in enumerate(zip(at_a, at_b)):
+            sums[k] += np.bincount(a, wa, minlength=n) + np.bincount(b, wb, minlength=n)
+        count += np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        bins = np.minimum(np.searchsorted(edges, np.arccos(cos), side="right") - 1, 3)
+        hist += np.bincount(4 * a + bins, minlength=4 * n) + np.bincount(4 * b + bins, minlength=4 * n)
+
+    out = np.zeros((n, _PER_RADIUS))
+    out[:, 0] = count / n
+    has = count > 0  # an empty neighborhood keeps zeros
+    m = count[has]
+    mean = sums[:, has] / m
+    ev = np.maximum(np.linalg.eigvalsh(mean[_SECOND].T.reshape(-1, 3, 3))[:, ::-1], 0.0)
+    spread = np.zeros((len(ev), 8))
+    total = ev.sum(axis=1)
+    some = total > 0.0
+    spread[some, 0:3] = ev[some] / total[some, None]
+    some = ev[:, 0] > 0.0
+    e0, e1, e2 = ev[some].T
+    spread[some, 3:8] = np.stack([e1, e2, e0 - e1, e1 - e2, e0 - e2], axis=1) / e0[:, None]
+    out[has, 1:9] = spread
+    out[has, 9:13] = hist.reshape(n, 4)[has] / m[:, None]
+    out[has, 13] = mean[6]
+    out[has, 14] = np.linalg.norm(mean[8:11], axis=0) / rr
+    out[has, 15] = np.sqrt(mean[7]) / rr
+    out[has, 16] = mean[11] / rr
+    return out
+
+
+def _thickness(bvh, pos, normals, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized distance of an inward ray, and the mean over a small inward
+    cone of rays, to the opposite wall; misses read as the full 2R cap.
+
+    All rays go to the BVH in one query."""
     cap = 2.0 * radius
     origins = pos - 1e-5 * radius * normals
-    if not cone:
-        t = bvh.first_hit(origins, -normals, t_min=1e-9 * radius)
-        return np.minimum(np.where(np.isfinite(t), t, cap), cap) / cap
-    acc = np.zeros(len(pos))
+    dirs = [-normals]
     up = np.array([0.0, 1.0, 0.0])
     for k in range(_THICKNESS_CONE):
         side = np.cross(normals, up + 1e-3 * (k + 1))
@@ -153,11 +173,11 @@ def _thickness(bvh, pos, normals, radius, cone: bool) -> np.ndarray:
         side = np.where(nrm > 1e-9, side / np.maximum(nrm, 1e-12), 0.0)
         angle = 2.0 * np.pi * k / _THICKNESS_CONE
         tilt = 0.3
-        dirs = -normals + tilt * (np.cos(angle) * side + np.sin(angle) * np.cross(normals, side))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        t = bvh.first_hit(origins, dirs, t_min=1e-9 * radius)
-        acc += np.minimum(np.where(np.isfinite(t), t, cap), cap)
-    return acc / (_THICKNESS_CONE * cap)
+        cone = -normals + tilt * (np.cos(angle) * side + np.sin(angle) * np.cross(normals, side))
+        dirs.append(cone / np.linalg.norm(cone, axis=1, keepdims=True))
+    t = bvh.first_hit(np.tile(origins, (len(dirs), 1)), np.vstack(dirs), t_min=1e-9 * radius)
+    depth = np.minimum(np.where(np.isfinite(t), t, cap), cap).reshape(len(dirs), len(pos))
+    return depth[0] / cap, depth[1:].sum(axis=0) / (_THICKNESS_CONE * cap)
 
 
 def label_matrix(samples: list[SurfaceSample], materials=MATERIALS) -> np.ndarray:

@@ -21,6 +21,7 @@ from .materials import EMPTY_LABELS, MaterialLabelSet
 from .mesh import LabeledMesh
 
 _RELAX_CANDIDATES = 8
+_VISIBILITY_ROUNDS = 8
 
 
 @dataclass
@@ -136,32 +137,40 @@ def visibility_filter(
     samples: list[SurfaceSample],
     n_rays: int = SamplingConfig.visibility_rays,
     offset: float = SamplingConfig.visibility_offset,
-    bvh: TriangleBvh | None = None,
 ) -> list[SurfaceSample]:
     """Keep samples that can see past the bounding sphere along some ray.
 
     A sample is visible iff at least one of ``n_rays`` directions (covering
     the sphere evenly) escapes to the bounding sphere unobstructed. Origins
-    are nudged off the surface along the sample normal. Every input sample
-    gets its ``visible`` flag set; the visible subset is returned.
+    are nudged off the surface along the sample normal. The directions are
+    traced in strided rounds, every ``_VISIBILITY_ROUNDS``-th one per round,
+    and a sample leaves as soon as one of its rays escapes; a round spreads
+    its directions over the whole sphere, so most samples leave in the
+    first. The flags are those of tracing all ``n_rays`` directions. Every
+    input sample gets its ``visible`` flag set; the visible subset is
+    returned.
     """
     if not samples:
         return []
-    if bvh is None:
-        bvh = TriangleBvh(mesh.vertices, mesh.faces)
+    bvh = TriangleBvh(mesh.vertices, mesh.faces)
     dirs = _fibonacci_directions(n_rays)
     radius = mesh.bounding_radius
     pos = positions_of(samples)
     normals = np.array([s.normal for s in samples])
     origins = pos + offset * radius * normals
+    exit_radius = radius * 1.001 + offset * radius
 
-    n = len(samples)
-    ray_origins = np.repeat(origins, n_rays, axis=0)
-    ray_dirs = np.tile(dirs, (n, 1))
-    t_exit = _sphere_exit(ray_origins, ray_dirs, mesh.bounding_center, radius * 1.001 + offset * radius)
-    blocked = bvh.any_hit(ray_origins, ray_dirs, t_max=t_exit, t_min=1e-12 * radius)
-    escaped = ~blocked.reshape(n, n_rays)
-    visible = escaped.any(axis=1)
+    visible = np.zeros(len(samples), dtype=bool)
+    for first in range(_VISIBILITY_ROUNDS):
+        pending = np.flatnonzero(~visible)
+        batch = dirs[first::_VISIBILITY_ROUNDS]
+        if len(pending) == 0 or len(batch) == 0:
+            break
+        ray_origins = np.repeat(origins[pending], len(batch), axis=0)
+        ray_dirs = np.tile(batch, (len(pending), 1))
+        t_exit = _sphere_exit(ray_origins, ray_dirs, mesh.bounding_center, exit_radius)
+        blocked = bvh.any_hit(ray_origins, ray_dirs, t_max=t_exit, t_min=1e-12 * radius)
+        visible[pending] = ~blocked.reshape(len(pending), len(batch)).all(axis=1)
 
     out = []
     for i, s in enumerate(samples):

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import InterchangeError
 from .jsonl import one_of, read_json, write_json
 from .materials import MATERIALS, MaterialLabelSet, label_map
 from .mesh import LabeledMesh, build_mesh
@@ -84,7 +85,19 @@ def save_spec(path: str, spec: SynthSpec) -> None:
 
 def load_spec(path: str) -> SynthSpec:
     doc = read_json(path, _SPEC_FIELDS)
-    return SynthSpec(**{key: doc[key] for key in _SPEC_FIELDS})
+    spec = SynthSpec(**{key: doc[key] for key in _SPEC_FIELDS})
+    try:
+        _check_legs(spec)
+    except ValueError as exc:
+        raise InterchangeError(path, str(exc)) from None
+    return spec
+
+
+def _check_legs(spec: SynthSpec) -> None:
+    if spec.legs < 1:
+        raise ValueError(f"legs {spec.legs} is below 1")
+    if spec.category == "chair" and spec.legs > 4:
+        raise ValueError(f"a chair has at most 4 legs, got {spec.legs}")
 
 
 def _prism(
@@ -294,9 +307,14 @@ def _cabinet(spec: SynthSpec) -> _Builder:
 
 
 def generate(spec: SynthSpec) -> LabeledMesh:
-    """Build the labeled mesh described by a spec; deterministic throughout."""
+    """Build the labeled mesh described by a spec; deterministic throughout.
+
+    A spec with fewer than one leg, or a chair with more than four, is a
+    ValueError.
+    """
     if spec.category not in CATEGORIES:
         raise ValueError(f"unknown category {spec.category!r}")
+    _check_legs(spec)
     if spec.category == "table":
         builder = _table(spec)
     elif spec.category == "chair":

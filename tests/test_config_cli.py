@@ -293,12 +293,17 @@ def set_key(key, value):
     ("labels.json", lambda text: '{"labels": {"top": ["sand"]}}', "unknown material 'sand'"),
     ("labels.json", lambda text: text.replace('"labels"', '"lables"'), "expected {labels: dict}"),
     ("labels.json", lambda text: '{"labels": ["wood"]}', "expected {labels: dict}"),
+    ("labels.json", set_key("labels", lambda labels: {**labels, "tabletop": ["wood"]}),
+     "label document names component 'tabletop'"),
     ("spec.json", set_key("category", "sofa"),
      "expected 'table' or 'chair' or 'cabinet', got 'sofa'"),
     ("spec.json", set_key("legs", "four"), "expected {category: str, legs: int,"),
     ("spec.json", lambda text: text.replace('"metal"', '"sand"'), "unknown material 'sand'"),
     ("spec.json", set_key("jitter", math.nan), "jitter: float"),
     ("spec.json", set_key("seed", -1), "seed -1 is negative"),
+    ("spec.json", set_key("legs", -1), "legs -1 is below 1"),
+    ("spec.json", lambda text: json.dumps({**json.loads(text), "category": "chair", "legs": 5}),
+     "a chair has at most 4 legs, got 5"),
     ("net.json", set_key("format", "descriptor-net-v2"),
      "expected 'descriptor-net-v1', got 'descriptor-net-v2'"),
     ("net.json", set_key("params", lambda params: params[:-1]),
@@ -336,3 +341,17 @@ def test_cli_rejects_damaged_documents(tmp_path, caplog, name, damage, message):
     assert len(errors) == 1 and str(path) in errors[0] and message in errors[0]
     assert "Traceback" not in caplog.text
     assert not result.exists()
+
+
+def test_cli_train_desc_names_labels_file_with_unknown_component(tmp_path, caplog):
+    out = infer_ready_shape(tmp_path)
+    path = out / "labels.json"
+    path.write_text(set_key("labels", lambda labels: {**labels, "tabletop": ["wood"]})(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    net = tmp_path / "net.json"
+    caplog.clear()
+    assert cli.main(["train-desc", "--data", str(tmp_path), "--out", str(net)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(path) in errors[0] and "'tabletop'" in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not net.exists()

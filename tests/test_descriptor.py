@@ -3,9 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from conftest import dense_shapes
+from matseg.bvh import TriangleBvh
 from matseg.descriptor import (
     FEATURE_DIM,
+    FEATURE_RADII,
     LAMBDA_PRESETS,
     MARGIN,
     DescriptorNet,
@@ -19,7 +23,13 @@ from matseg.descriptor import (
 )
 from matseg.errors import MissingDataError
 from matseg.mesh import attach_labels, build_mesh
-from matseg.sampling import sample_surface_points, visibility_filter
+from matseg.sampling import (
+    SurfaceSample,
+    positions_of,
+    sample_surface_points,
+    subsample_even,
+    visibility_filter,
+)
 
 
 def random_training_set(rng, n_points=60, n_mats=5, multi=6):
@@ -62,6 +72,125 @@ def test_feature_extraction_shape_and_determinism():
     assert extract_features(mesh, []).shape == (0, FEATURE_DIM)
     # extraction fills the per-sample feature slots too
     assert all(s.features is not None for s in samples)
+
+
+def per_sample_features(mesh, samples):
+    """Reference features: the per-radius statistics one sample at a time
+    (np.histogram for the angle bins), and one BVH query per thickness ray
+    direction."""
+    pos = positions_of(samples)
+    normals = np.array([s.normal for s in samples])
+    radius = mesh.bounding_radius
+    center = mesh.bounding_center
+    tree = cKDTree(pos)
+    n = len(samples)
+    out = np.zeros((n, FEATURE_DIM))
+    for ri, frac in enumerate(FEATURE_RADII):
+        hood = tree.query_ball_point(pos, frac * radius)
+        base = ri * 17
+        for i in range(n):
+            idx = np.array(hood[i], dtype=np.int64)
+            idx = idx[idx != i]
+            if len(idx) == 0:
+                continue
+            rel = pos[idx] - pos[i]
+            out[i, base + 0] = len(idx) / n
+            ev = np.maximum(np.linalg.eigvalsh(rel.T @ rel / len(idx))[::-1], 0.0)
+            if ev.sum() > 0.0:
+                out[i, base + 1 : base + 4] = ev / ev.sum()
+            if ev[0] > 0.0:
+                out[i, base + 4 : base + 9] = np.array(
+                    [ev[1], ev[2], ev[0] - ev[1], ev[1] - ev[2], ev[0] - ev[2]]) / ev[0]
+            cos = np.clip(normals[idx] @ normals[i], -1.0, 1.0)
+            hist, _ = np.histogram(np.arccos(cos), bins=4, range=(0.0, np.pi))
+            out[i, base + 9 : base + 13] = hist / len(idx)
+            out[i, base + 13] = np.mean(np.abs(cos))
+            rr = frac * radius
+            out[i, base + 14] = np.linalg.norm(rel.mean(axis=0)) / rr
+            out[i, base + 15] = np.sqrt(np.mean(np.sum(rel * rel, axis=1))) / rr
+            out[i, base + 16] = np.mean(rel @ normals[i]) / rr
+
+    g = 51
+    min_y = mesh.vertices[:, 1].min()
+    out[:, g + 0] = (pos[:, 1] - min_y) / (2.0 * radius)
+    out[:, g + 1] = (pos[:, 1] - center[1]) / radius
+    out[:, g + 2] = np.linalg.norm(pos[:, [0, 2]] - center[[0, 2]], axis=1) / radius
+    out[:, g + 3] = (radius - np.linalg.norm(pos - center, axis=1)) / radius
+    out[:, g + 4] = normals[:, 1]
+    out[:, g + 5] = np.abs(normals[:, 1])
+    bvh = TriangleBvh(mesh.vertices, mesh.faces)
+    cap = 2.0 * radius
+    origins = pos - 1e-5 * radius * normals
+
+    def depth(dirs):
+        t = bvh.first_hit(origins, dirs, t_min=1e-9 * radius)
+        return np.minimum(np.where(np.isfinite(t), t, cap), cap)
+
+    out[:, g + 6] = depth(-normals) / cap
+    up = np.array([0.0, 1.0, 0.0])
+    for k in range(4):
+        side = np.cross(normals, up + 1e-3 * (k + 1))
+        nrm = np.linalg.norm(side, axis=1, keepdims=True)
+        side = np.where(nrm > 1e-9, side / np.maximum(nrm, 1e-12), 0.0)
+        angle = 2.0 * np.pi * k / 4
+        dirs = -normals + 0.3 * (np.cos(angle) * side + np.sin(angle) * np.cross(normals, side))
+        out[:, g + 7] += depth(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+    out[:, g + 7] /= 4 * cap
+
+    comp = mesh.face_component[[s.face for s in samples]]
+    centroids = mesh.face_centroids()
+    for c in np.unique(comp):
+        faces = mesh.component_faces(c)
+        w = mesh.face_areas[faces]
+        verts = mesh.vertices[np.unique(mesh.faces[faces])]
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        rows = comp == c
+        out[rows, g + 8] = w.sum() / mesh.total_area()
+        out[rows, g + 9] = len(faces) / mesh.n_faces
+        out[rows, g + 10] = np.linalg.norm(pos[rows] - (centroids[faces] * w[:, None]).sum(axis=0)
+                                           / w.sum(), axis=1) / radius
+        out[rows, g + 11] = np.linalg.norm(hi - lo) / (2.0 * radius)
+        out[rows, g + 12] = (hi[1] - lo[1]) / (2.0 * radius)
+    return out
+
+
+def test_features_match_per_sample_reference_on_dense_shapes():
+    for mesh in dense_shapes(levels=2):
+        drawn = sample_surface_points(mesh, 600, seed=8)
+        samples = subsample_even(visibility_filter(mesh, drawn), 300, seed=8)
+        got = extract_features(mesh, samples)
+        want = per_sample_features(mesh, samples)
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+
+def test_features_bin_edge_angles_and_empty_neighborhoods():
+    """Normals at 0, pi/2 and pi to each other land exactly on histogram
+    edges; the far corner sample has no neighbor at any radius."""
+    lo, hi = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.1, 1.0])
+    corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])
+                        for z in (lo[2], hi[2])])
+    quads = [(0, 4, 5, 1), (2, 3, 7, 6), (0, 1, 3, 2), (4, 6, 7, 5), (0, 2, 6, 4), (1, 5, 7, 3)]
+    faces = np.array([t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))])
+    mesh = build_mesh(corners, faces, ("slab",), np.zeros(len(faces), dtype=np.int64))
+
+    def on(point, normal):
+        f = int(np.flatnonzero(np.all(mesh.face_normals == normal, axis=1))[0])
+        return SurfaceSample(np.array(point), f, np.array([1 / 3, 1 / 3, 1 / 3]),
+                             mesh.face_normals[f].copy())
+
+    samples = [
+        on([0.1, 0.1, 0.1], [0.0, 1.0, 0.0]),
+        on([0.12, 0.1, 0.1], [0.0, 1.0, 0.0]),
+        on([0.1, 0.0, 0.1], [0.0, -1.0, 0.0]),
+        on([0.0, 0.05, 0.1], [-1.0, 0.0, 0.0]),
+        on([0.9, 0.1, 0.9], [0.0, 1.0, 0.0]),
+    ]
+    got = extract_features(mesh, samples)
+    assert np.all(np.abs(got - per_sample_features(mesh, samples)) <= 1e-12)
+    for base in (0, 17, 34):
+        # angles 0, pi and pi/2 from the first sample: edges 0, pi, pi/2
+        assert np.array_equal(got[0, base + 9 : base + 13], [1 / 3, 0.0, 1 / 3, 1 / 3])
+        assert np.all(got[4, base : base + 17] == 0.0)
 
 
 def test_label_matrix_from_samples():

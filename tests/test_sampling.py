@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import dense_shapes
+from matseg.bvh import TriangleBvh
+from matseg.config import SamplingConfig
 from matseg.errors import EmptyMeshError
 from matseg.materials import MaterialLabelSet
 from matseg.mesh import attach_labels, build_mesh
 from matseg.sampling import (
     SurfaceSample,
+    _fibonacci_directions,
+    _sphere_exit,
     load_samples,
     positions_of,
     sample_surface_points,
@@ -165,6 +170,32 @@ def test_visibility_monotone_under_face_removal():
 
     assert visibility_filter(full, [probe()]) == []
     assert len(visibility_filter(part, [probe()])) == 1
+
+
+def all_rays_visible(mesh, samples, n_rays, offset=SamplingConfig.visibility_offset):
+    """Reference visibility: every sample traces all ``n_rays`` directions in
+    one query, and is visible iff one of them escapes."""
+    dirs = _fibonacci_directions(n_rays)
+    radius = mesh.bounding_radius
+    origins = positions_of(samples) + offset * radius * np.array([s.normal for s in samples])
+    ray_origins = np.repeat(origins, n_rays, axis=0)
+    ray_dirs = np.tile(dirs, (len(samples), 1))
+    t_exit = _sphere_exit(ray_origins, ray_dirs, mesh.bounding_center,
+                          radius * 1.001 + offset * radius)
+    blocked = TriangleBvh(mesh.vertices, mesh.faces).any_hit(
+        ray_origins, ray_dirs, t_max=t_exit, t_min=1e-12 * radius)
+    return ~blocked.reshape(len(samples), n_rays).all(axis=1)
+
+
+@pytest.mark.parametrize("n_rays", [SamplingConfig.visibility_rays, 20, 5])
+def test_visibility_rounds_match_all_rays(n_rays):
+    for mesh in dense_shapes(levels=2):
+        samples = sample_surface_points(mesh, 300, seed=3)
+        want = all_rays_visible(mesh, samples, n_rays)
+        kept = visibility_filter(mesh, samples, n_rays=n_rays)
+        assert np.array_equal([s.visible for s in samples], want)
+        assert [id(s) for s in kept] == [id(s) for s, v in zip(samples, want) if v]
+        assert 0 < len(kept) < len(samples)
 
 
 def test_subsample_exact_size_and_subset():

@@ -34,6 +34,17 @@ def test_generate_rejects_unknown_category():
         generate(SynthSpec(category="lamp"))
 
 
+def test_generate_checks_leg_count():
+    for spec in (SynthSpec(category="table", legs=0), SynthSpec(category="chair", legs=-1),
+                 SynthSpec(category="cabinet", legs=0), SynthSpec(category="chair", legs=5)):
+        with pytest.raises(ValueError, match="legs"):
+            generate(spec)
+    assert generate(SynthSpec(category="table", legs=6)).component_names.count("leg_5") == 1
+    chair = generate(SynthSpec(category="chair", legs=3))
+    assert [n for n in chair.component_names if n.startswith("leg")] == ["leg_0", "leg_1", "leg_2"]
+    generate(SynthSpec(category="cabinet", legs=3))
+
+
 def test_generate_deterministic():
     spec = SynthSpec(category="chair", jitter=0.01, seed=12)
     a = generate(spec)
