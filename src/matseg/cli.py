@@ -214,12 +214,18 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_sample(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(_mesh_path(args))
+    mesh_path = _mesh_path(args)
+    mesh = _load_shape(mesh_path)
     cfg = config.sampling
     n = args.n if args.n is not None else cfg.n_points
     k = args.k if args.k is not None else cfg.keep
     samples = sample_surface_points(mesh, n, seed=config.run.seed, relax_iterations=cfg.relax_iterations)
     visible = visibility_filter(mesh, samples, n_rays=cfg.visibility_rays, offset=cfg.visibility_offset)
+    if not visible:
+        raise MatsegError(
+            f"{mesh_path}: none of {n} drawn samples is visible "
+            f"({cfg.visibility_rays} rays per sample)"
+        )
     kept = subsample_even(visible, min(k, len(visible)), seed=config.run.seed)
     out = _out_path(args, _shape_dir(args), SAMPLES_FILE)
     save_samples(out, kept)

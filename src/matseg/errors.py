@@ -54,7 +54,8 @@ class OracleSizeError(MatsegError):
 
 
 class InvalidKError(MatsegError):
-    """Retrieval k exceeds the database size."""
+    """A requested count k is below 1, or a retrieval k exceeds the
+    database size."""
 
 
 class AlignmentError(MatsegError):

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
 from .config import SamplingConfig
-from .errors import EmptyMeshError
+from .errors import EmptyMeshError, InvalidKError
 from .jsonl import finite_array, read_jsonl, write_jsonl
 from .materials import EMPTY_LABELS, MaterialLabelSet
 from .mesh import LabeledMesh
@@ -196,10 +196,11 @@ def subsample_even(samples: list[SurfaceSample], k: int, seed: int) -> list[Surf
 
     Starts from a seeded random sample and repeatedly adds the sample
     farthest from the current selection. Asking for more samples than exist
-    returns everything and warns.
+    returns everything and warns; asking for fewer than one raises
+    InvalidKError.
     """
     if k < 1:
-        raise ValueError("need k >= 1")
+        raise InvalidKError(f"k={k} must be at least 1")
     if k > len(samples):
         warnings.warn(
             f"requested {k} samples but only {len(samples)} available; returning all",

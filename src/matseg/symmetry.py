@@ -1,18 +1,24 @@
 """Rigid symmetry detection between mesh components.
 
-Congruent components are matched by ICP started from a ring of rotations
-about the upright axis, optionally composed with the x or the y mirror for
-reflective symmetry; the z mirror is the x mirror turned half way about the
-upright axis, a start the ring already has. Accepted transforms are
-clustered so each distinct symmetry appears once, then expanded into face
-pairs that feed the CRF's symmetry factors. Detected symmetries are saved
-as one JSON document, face pairs as JSON lines.
+Hypotheses come from one anchor component, after Mitra, Guibas & Pauly
+("Partial and Approximate Symmetry Detection for 3D Geometry", SIGGRAPH
+2006): every symmetry of the shape maps the anchor onto a congruent
+component, so ICP fits of the anchor onto each congruent partner propose
+every transform worth testing. The starts are a ring of rotations about the
+upright axis, optionally composed with the x or the y mirror for reflective
+symmetry; the z mirror is the x mirror turned half way about the upright
+axis, a start the ring already has. The fits are clustered, each cluster's
+transform sharpened point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001), and
+verified on the whole shape: a transform survives when it takes every
+component onto a congruent one, and those (component, target) pairs are
+refitted on dense clouds and clustered again, so each distinct symmetry
+appears once. Its face pairs feed the CRF's symmetry factors. Detected
+symmetries are saved as one JSON document, face pairs as JSON lines.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +38,6 @@ _TRIVIAL_ANGLE = math.radians(2.0)
 _CLUSTER_ANGLE = math.radians(5.0)
 _CLUSTER_AXIS = math.radians(5.0)
 _CLUSTER_TRANSLATION = 0.05
-# moved points queried before the rest in the arrangement check; their
-# squared distances alone can already rule a target out
-_EARLY_POINTS = 32
 # the dense refit stops once a step moves the bounding sphere by less
 _REFIT_STEP = 1e-9
 _REFIT_MAX_ITER = 12
@@ -151,37 +154,63 @@ def _check_rank(points: np.ndarray) -> None:
         )
 
 
-def _kabsch(src: np.ndarray, dst: np.ndarray, det_sign: float):
-    sc = src.mean(axis=0)
-    dc = dst.mean(axis=0)
-    h = (src - sc).T @ (dst - dc)
+def _kabsch_stack(centered, centroid, dst, det_sign):
+    """Best rigid fits of a stack of source clouds onto matched points.
+
+    ``centered`` (s, n, 3) are the sources about their ``centroid`` (s, 3),
+    ``dst`` (s, n, 3) the matched targets; each fitted matrix has the
+    determinant sign in ``det_sign`` (s,). One batched SVD serves the stack.
+    """
+    dc = dst.mean(axis=1)
+    h = np.einsum("snk,snj->skj", centered, dst - dc[:, None, :])
     u, _, vt = np.linalg.svd(h)
-    parity = float(np.linalg.det(vt.T @ u.T))
-    s = det_sign * (1.0 if parity >= 0.0 else -1.0)
-    r = vt.T @ np.diag([1.0, 1.0, s]) @ u.T
-    t = dc - r @ sc
-    return r, t
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    d = np.ones((len(h), 3))
+    d[:, 2] = det_sign * np.where(np.linalg.det(v @ ut) >= 0.0, 1.0, -1.0)
+    r = (v * d[:, None, :]) @ ut
+    return r, dc - np.einsum("skj,sj->sk", r, centroid)
 
 
-def _icp(source, target, tree, init, max_iter, tol, abandon=None):
-    det_sign = init.det
-    r = init.rotation
-    t = init.translation
-    dist, idx = tree.query(source @ r.T + t)
-    rmsd = float(np.sqrt(np.mean(dist * dist)))
+def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, abandon=None):
+    """ICP of a stack of starts onto one target cloud.
+
+    Start k moves ``sources[k]`` (n points) from ``rotations[k]``,
+    ``translations[k]``, and keeps that matrix's determinant sign. Each
+    sweep makes one KD query over the active starts and one stacked Kabsch
+    fit. A start stops once its rmsd changes by less than ``tol``; with
+    ``abandon`` set, a start still above it after 6 sweeps cannot reach the
+    acceptance gate and is cut short. Returns the rotations, translations
+    and rmsds of every start.
+    """
+    n_starts, n = sources.shape[:2]
+    r = np.array(rotations, dtype=np.float64)
+    t = np.array(translations, dtype=np.float64)
+    det_sign = np.sign(np.linalg.det(r))
+    centroid = sources.mean(axis=1)
+    centered = sources - centroid[:, None, :]
+
+    def sweep(active):
+        moved = np.einsum("snk,sjk->snj", sources[active], r[active]) + t[active, None, :]
+        dist, idx = tree.query(moved.reshape(-1, 3))
+        dist = dist.reshape(len(active), n)
+        return np.sqrt(np.mean(dist * dist, axis=1)), idx.reshape(len(active), n)
+
+    active = np.arange(n_starts)
+    rmsd, idx = sweep(active)
     for it in range(max_iter):
-        # a fit still far above the acceptance gate after several sweeps
-        # cannot reach it; cut the loop short
-        if abandon is not None and it >= 6 and rmsd > abandon:
+        if abandon is not None and it >= 6:
+            keep = rmsd[active] <= abandon
+            active, idx = active[keep], idx[keep]
+        if len(active) == 0:
             break
-        r, t = _kabsch(source, target[idx], det_sign)
-        dist, idx = tree.query(source @ r.T + t)
-        new = float(np.sqrt(np.mean(dist * dist)))
-        done = abs(rmsd - new) < tol
-        rmsd = new
-        if done:
-            break
-    return RigidTransform(r, t), rmsd
+        r[active], t[active] = _kabsch_stack(
+            centered[active], centroid[active], target[idx], det_sign[active]
+        )
+        new, idx = sweep(active)
+        done = np.abs(rmsd[active] - new) < tol
+        rmsd[active] = new
+        active, idx = active[~done], idx[~done]
+    return r, t, rmsd
 
 
 def _refit(source, target, normals, tree, init, max_iter, center, radius):
@@ -241,8 +270,10 @@ def icp_align(
     _check_rank(dst)
     if init is None:
         init = RigidTransform.identity()
-    tree = cKDTree(dst)
-    return _icp(src, dst, tree, init, max_iter, tol)
+    r, t, rmsd = _icp_stack(
+        src[None], dst, cKDTree(dst), init.rotation[None], init.translation[None], max_iter, tol
+    )
+    return RigidTransform(r[0], t[0]), float(rmsd[0])
 
 
 def _component_cloud(mesh: LabeledMesh, comp: int, n: int, rng):
@@ -297,19 +328,26 @@ def detect_symmetries(
 ) -> list[DetectedSymmetry]:
     """Find rotational and reflective symmetries between components.
 
-    Every component pair i <= j (including self pairs) whose principal
-    extents agree is tested under three variants: direct, and mirrored
-    across the x and the y plane through the bounding-sphere center (the z
-    mirror is the x mirror after a half turn about the upright axis). Each
-    variant runs ICP from 8 rotations about the upright axis; fits with
-    rmsd below ``rmsd_threshold * bounding_radius`` are kept, and for
-    i < j their inverses stand for the pair (j, i). Near-identity and
-    translation-only fits are discarded, and the survivors clustered by
-    angle/axis/translation proximity into distinct transforms. A cluster
-    survives only if its transform maps every component onto matching
-    geometry, so congruences private to one pair (a cylindrical leg spun
-    onto itself) do not count as shape symmetries. Each surviving pair is
-    then refitted point-to-plane on the dense clouds and clustered again.
+    The anchor is the component with the fewest congruent partners
+    (principal extents that agree); ties go to the largest area, then the
+    lowest index. Its cloud is fitted onto every partner under three
+    variants: direct, and mirrored across the x and the y plane through
+    the bounding-sphere center. Each variant runs ICP from 8 rotations
+    about the upright axis, all 24 starts onto one partner as one stack.
+    Fits with rmsd below ``rmsd_threshold * bounding_radius`` are kept,
+    and for a partner other than the anchor their inverses stand for the
+    pair (partner, anchor). Near-identity and translation-only fits are
+    discarded, and the survivors clustered by angle/axis/translation
+    proximity into distinct transforms.
+
+    Each cluster's averaged transform is sharpened by a point-to-plane
+    refit of one member pair's sparse source cloud, then checked on the
+    whole shape: it survives only if it maps every component onto a
+    congruent component under the gate, so congruences private to one pair
+    (a cylindrical leg spun onto itself) do not count as shape symmetries.
+    The check names each component's target; every such (component,
+    target) pair is refitted point-to-plane on the dense clouds and
+    clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -327,111 +365,137 @@ def detect_symmetries(
         targets.append(cloud)
         normals.append(mesh.face_normals[faces])
 
-    variants = [RigidTransform.identity(), _axis_mirror(0, center), _axis_mirror(1, center)]
-    angles = [2.0 * np.pi * k / _N_INIT_ROTATIONS for k in range(_N_INIT_ROTATIONS)]
     tol = 1e-9 * radius
     accept = rmsd_threshold * radius
+    refit_iter = min(max_iter, _REFIT_MAX_ITER)
 
     trees = [cKDTree(t) if len(t) >= 3 else None for t in targets]
     signatures = [None if tree is None else _signature(t) for t, tree in zip(targets, trees)]
-    tgt_centroids = [t.mean(axis=0) if len(t) else None for t in targets]
+    valid = [c for c in range(n_comp) if len(sources[c]) >= 3 and trees[c] is not None]
+    if not valid:
+        return []
+    # the targets each component's cloud may fit under the gate; a gross
+    # mismatch of principal extents cannot, so it is never fitted or checked
+    partners = [
+        [j for j in range(n_comp) if trees[j] is not None
+         and _congruent(signatures[c], signatures[j], accept)] if c in valid else []
+        for c in range(n_comp)
+    ]
+    areas = [float(mesh.face_areas[mesh.component_faces(c)].sum()) for c in range(n_comp)]
+    anchor = min(valid, key=lambda c: (len(partners[c]), -areas[c], c))
 
-    def congruent(i: int, j: int) -> bool:
-        return _congruent(signatures[i], signatures[j], accept)
-
-    # mirroring the source cloud instead of the target keeps one tree per
-    # target component serving all three variants. Only pairs i <= j are
-    # fitted: a fit of i onto j inverted is a fit of j onto i.
+    # every start onto one partner runs as one stack; mirroring the source
+    # cloud instead of the target keeps one tree per partner for all three
+    # variants. A fit of the anchor onto j, inverted, maps j onto the anchor.
+    variants = [RigidTransform.identity(), _axis_mirror(0, center), _axis_mirror(1, center)]
+    angles = [2.0 * np.pi * k / _N_INIT_ROTATIONS for k in range(_N_INIT_ROTATIONS)]
+    starts = [variant for variant in variants for _ in angles]
+    stack = np.stack([variant.apply(sources[anchor]) for variant in starts])
+    r0 = np.stack([_y_rotation(angle) for _ in variants for angle in angles])
+    src_centroids = np.einsum("skj,sj->sk", r0, stack.mean(axis=1))
     candidates: list[tuple[RigidTransform, int, int, float]] = []
-    for i in range(n_comp):
-        if len(sources[i]) < 3 or trees[i] is None:
-            continue
-        for variant in variants:
-            src = variant.apply(sources[i])
-            src_centroid = src.mean(axis=0)
-            for j in range(i, n_comp):
-                if trees[j] is None or not congruent(i, j):
-                    continue
-                for angle in angles:
-                    r0 = _y_rotation(angle)
-                    init = RigidTransform(r0, tgt_centroids[j] - r0 @ src_centroid)
-                    # coarse tolerance: candidates only need to land in the
-                    # right cluster, the refinement pass repolishes
-                    fit, rmsd = _icp(
-                        src, targets[j], trees[j], init, max_iter,
-                        max(tol, 0.02 * accept), abandon=3.0 * accept,
-                    )
-                    full = fit.compose(variant)
-                    if rmsd >= accept or _is_trivial(full):
-                        continue
-                    candidates.append((full, i, j, rmsd))
-                    if i < j:
-                        candidates.append((full.inverse(), j, i, rmsd))
+    for j in partners[anchor]:
+        # coarse tolerance: candidates only need to land in the right
+        # cluster, the sharpening and refinement passes repolish
+        rots, trans, rmsds = _icp_stack(
+            stack, targets[j], trees[j], r0, targets[j].mean(axis=0) - src_centroids,
+            max_iter, max(tol, 0.02 * accept), abandon=3.0 * accept,
+        )
+        for variant, r, t, rmsd in zip(starts, rots, trans, rmsds):
+            full = RigidTransform(r, t).compose(variant)
+            if rmsd >= accept or _is_trivial(full):
+                continue
+            candidates.append((full, anchor, j, float(rmsd)))
+            if j != anchor:
+                candidates.append((full.inverse(), j, anchor, float(rmsd)))
 
-    syms = _cluster(candidates, radius)
-    if not syms:
-        return syms
+    # sharpen each cluster's averaged representative point-to-plane on one
+    # member pair's sparse cloud, an anchor-source pair where there is one
+    best: dict[int, DetectedSymmetry] = {}
+    by_fit = sorted(_cluster(candidates, radius), key=lambda s: (s.source_component != anchor, s.rmsd))
+    for sym in by_fit:
+        best.setdefault(sym.transform_id, sym)
+    reps = []
+    for sym in best.values():
+        j = sym.target_component
+        fit, _ = _refit(
+            sources[sym.source_component], targets[j], normals[j], trees[j],
+            sym.transform, refit_iter, center, radius,
+        )
+        if not _is_trivial(fit):
+            reps.append(fit)
 
     # a pair of congruent components (two identical legs, a cylinder onto
     # itself at any offset) fits under the gate without being a symmetry
     # of the shape; keep only transforms that map every component onto
-    # matching geometry
-    keep = {
-        cid: _maps_arrangement(rep, sources, trees, congruent, accept)
-        for cid, rep in unique_transforms(syms).items()
-    }
-    syms = [s for s in syms if keep[s.transform_id]]
-
-    # refinement pass: re-fit every surviving pair with the dense clouds
-    # from the averaged representative; correspondence noise drops with
-    # the larger source count. Coarsely-stopped fits that were actually
-    # sliding toward the identity converge there now, so the trivial and
-    # acceptance gates apply again, and re-clustering merges duplicates.
+    # matching geometry, and refit each of their (component, target) pairs
+    # on the dense clouds. Re-clustering merges duplicates, and fits that
+    # slid toward the identity meet the trivial gate again.
     refit: list[tuple[RigidTransform, int, int, float]] = []
-    for s in syms:
-        j = s.target_component
-        fit, rmsd = _refit(
-            targets[s.source_component], targets[j], normals[j], trees[j],
-            s.transform, min(max_iter, _REFIT_MAX_ITER), center, radius,
-        )
-        if rmsd >= accept or _is_trivial(fit):
-            continue
-        refit.append((fit, s.source_component, j, rmsd))
+    for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
+        for c, j in pairs or ():
+            fit, rmsd = _refit(
+                targets[c], targets[j], normals[j], trees[j], rep, refit_iter, center, radius,
+            )
+            if rmsd >= accept or _is_trivial(fit):
+                continue
+            refit.append((fit, c, j, rmsd))
     return _cluster(refit, radius)
 
 
-def _maps_arrangement(
-    t: RigidTransform,
+def _arrangement(
+    reps: list[RigidTransform],
     sources: list[np.ndarray],
     trees: list[cKDTree | None],
-    congruent: Callable[[int, int], bool],
+    partners: list[list[int]],
     accept: float,
-) -> bool:
-    """Whether ``t`` takes every component's cloud onto some congruent
-    component with rmsd under ``accept``.
+) -> list[list[tuple[int, int]] | None]:
+    """Per transform, the (component, target) pair of every component it
+    takes onto a partner with rmsd under ``accept``, or None when some
+    component with a cloud finds no such partner.
 
-    The first _EARLY_POINTS moved points are queried alone: once their
-    squared distances sum to n * accept**2 the full rmsd cannot pass, so
-    the target is dropped without querying the rest.
+    All transforms are checked at once, per (component, target): one KD
+    query moves the component's cloud by every transform still pending.
+    A component's target is the first partner that passes. Two exact
+    tests spare most of the queries. The rmsd is at least the distance
+    from the moved centroid to the mean of the matched points, which lies
+    in the target's bounding box, so a centroid as far as ``accept`` from
+    the box fails without a query. And the query is bounded at
+    sqrt(n) * accept for n points: one point farther away than that
+    already puts the rmsd over the gate, so an unbounded (inf) distance
+    fails the transform exactly as the full distance would.
     """
+    if not reps:
+        return []
+    rot = np.stack([t.rotation for t in reps])
+    trans = np.stack([t.translation for t in reps])
+    alive = np.ones(len(reps), dtype=bool)
+    match = np.full((len(reps), len(sources)), -1)
     for c, cloud in enumerate(sources):
         if len(cloud) < 3:
             continue
-        moved = t.apply(cloud)
-        bound = len(moved) * accept * accept
-        head, tail = moved[:_EARLY_POINTS], moved[_EARLY_POINTS:]
-        for j, tree in enumerate(trees):
-            if tree is None or not congruent(c, j):
+        pending = np.flatnonzero(alive)
+        moved = np.einsum("nk,sjk->snj", cloud, rot[pending]) + trans[pending, None, :]
+        centroid = rot[pending] @ cloud.mean(axis=0) + trans[pending]
+        bound = math.sqrt(len(cloud)) * accept
+        for j in partners[c]:
+            tree = trees[j]
+            gap = np.maximum(tree.mins - centroid, 0.0) + np.maximum(centroid - tree.maxes, 0.0)
+            near = np.flatnonzero(np.einsum("sk,sk->s", gap, gap) < accept * accept)
+            if len(near) == 0:
                 continue
-            d_head, _ = tree.query(head)
-            if float(d_head @ d_head) >= bound:
-                continue
-            dist = np.concatenate([d_head, tree.query(tail)[0]])
-            if np.sqrt(np.mean(dist * dist)) < accept:
-                break
-        else:
-            return False
-    return True
+            dist = tree.query(moved[near].reshape(-1, 3), distance_upper_bound=bound)[0]
+            dist = dist.reshape(len(near), len(cloud))
+            hit = near[np.sqrt(np.mean(dist * dist, axis=1)) < accept]
+            match[pending[hit], c] = j
+            keep = np.ones(len(pending), dtype=bool)
+            keep[hit] = False
+            pending, moved, centroid = pending[keep], moved[keep], centroid[keep]
+        alive[pending] = False
+    return [
+        [(c, int(j)) for c, j in enumerate(row) if j >= 0] if ok else None
+        for row, ok in zip(match, alive)
+    ]
 
 
 def _mean_transform(transforms: list[RigidTransform]) -> RigidTransform:

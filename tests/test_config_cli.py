@@ -153,6 +153,21 @@ def test_cli_sample_then_infer_smoke(tmp_path):
     assert all(set(p) >= {"face", "top1", "label_set", "marginals"} for p in preds)
 
 
+def test_cli_sample_without_visible_samples_names_the_mesh(tmp_path, caplog):
+    spec = write_spec(tmp_path)
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", spec, "--out", str(out)]) == 0
+    caplog.clear()
+    # no rays: no sample can see out, so nothing is left to subsample
+    assert cli.main(["sample", "--shape", str(out), "-n", "20", "-k", "10",
+                     "--set", "sampling.visibility_rays=0"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(out / "mesh.obj") in errors[0]
+    assert "none of 20 drawn samples is visible" in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not (out / "samples.jsonl").exists()
+
+
 @pytest.mark.parametrize("damage, message", [
     # the file ends early on a line boundary: fewer rows than samples
     (lambda lines: lines[:-5], "probabilities of shape (25, 5) for 30 samples"),

@@ -4,7 +4,7 @@ import pytest
 from conftest import dense_shapes
 from matseg.bvh import TriangleBvh
 from matseg.config import SamplingConfig
-from matseg.errors import EmptyMeshError
+from matseg.errors import EmptyMeshError, InvalidKError
 from matseg.materials import MaterialLabelSet
 from matseg.mesh import attach_labels, build_mesh
 from matseg.sampling import (
@@ -234,6 +234,9 @@ def test_subsample_identity_and_single():
     single = subsample_even(samples, 1, seed=11)
     start = int(np.random.default_rng(11).integers(20))
     assert single == [samples[start]]
+    for k in (0, -1):
+        with pytest.raises(InvalidKError):
+            subsample_even(samples, k, seed=0)
 
 
 def test_subsample_overflow_warns_and_returns_all():

@@ -11,8 +11,9 @@ from matseg.mesh import build_mesh
 from matseg.symmetry import (
     DetectedSymmetry,
     RigidTransform,
+    _arrangement,
     _component_cloud,
-    _maps_arrangement,
+    _icp_stack,
     _refit,
     detect_symmetries,
     icp_align,
@@ -119,10 +120,56 @@ def test_icp_keeps_reflection_sign():
     assert fit.det == -1.0
 
 
+def test_stacked_starts_match_single_starts():
+    # the detection's starts, 8 turns about the upright axis, run as one
+    # stack and one at a time: one box onto another, direct and mirrored,
+    # and two opposite boxes at once, which cannot fit one box
+    mesh = four_box_mesh()
+    rng = np.random.default_rng(4)
+    src = _component_cloud(mesh, 0, 256, rng)[0]
+    pair = np.vstack([src[:128], _component_cloud(mesh, 2, 128, rng)[0]])
+    dst = _component_cloud(mesh, 1, 2048, rng)[0]
+    tree = cKDTree(dst)
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    stack = np.stack([src] * 8 + [src @ mirror] * 8 + [pair] * 8)
+    r0 = np.stack([y_rotation(k * math.pi / 4) for k in range(8)] * 3)
+    t0 = dst.mean(axis=0) - np.einsum("skj,sj->sk", r0, stack.mean(axis=1))
+    accept = 0.02 * mesh.bounding_radius
+    rots, trans, rmsd = _icp_stack(stack, dst, tree, r0, t0, 50, 4e-4 * accept, abandon=3.0 * accept)
+    for k in range(len(stack)):
+        r, t, e = _icp_stack(stack[k:k + 1], dst, tree, r0[k:k + 1], t0[k:k + 1], 50,
+                             4e-4 * accept, abandon=3.0 * accept)
+        assert np.allclose(rots[k], r[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(trans[k], t[0], rtol=0.0, atol=1e-12)
+        assert abs(rmsd[k] - e[0]) <= 1e-12
+    # some starts land under the gate, some are abandoned above it
+    assert (rmsd < accept).any() and (rmsd > 3.0 * accept).any()
+
+
 def test_icp_rejects_collinear_points():
     line = np.array([[float(i), 0.0, 0.0] for i in range(30)])
     with pytest.raises(DegenerateGeometryError):
         icp_align(line, line + np.array([0.0, 1.0, 0.0]))
+
+
+def component_centroids(mesh) -> np.ndarray:
+    return np.array([
+        mesh.vertices[np.unique(mesh.faces[mesh.component_faces(c)])].mean(axis=0)
+        for c in range(mesh.n_components)
+    ])
+
+
+def assert_pairs_follow(mesh, syms, tid, rotation):
+    """Transform ``tid`` lists every component once as a source, each with
+    the component that ``rotation`` (about the origin) carries it onto."""
+    cents = component_centroids(mesh)
+    want = {
+        c: int(np.argmin(np.linalg.norm(cents - rotation @ cents[c], axis=1)))
+        for c in range(mesh.n_components)
+    }
+    got = [(s.source_component, s.target_component) for s in syms if s.transform_id == tid]
+    assert sorted(c for c, _ in got) == list(range(mesh.n_components)), got
+    assert dict(got) == want
 
 
 def test_four_boxes_have_quarter_turn():
@@ -131,12 +178,18 @@ def test_four_boxes_have_quarter_turn():
     assert syms, "no symmetries detected"
     reps = unique_transforms(syms)
     angles = []
-    for rep in reps.values():
+    quarter = []
+    for tid, rep in reps.items():
         angle, axis = rep.angle_axis()
         if rep.det > 0:
             angles.append((angle, abs(axis[1])))
-    quarter = [a for a, ay in angles if abs(a - math.pi / 2) < 1e-3 and ay > 0.999]
+            if abs(angle - math.pi / 2) < 1e-3 and abs(axis[1]) > 0.999:
+                quarter.append(tid)
     assert quarter, f"quarter turn missing; proper angles: {angles}"
+    # every box is congruent to every other, so the search anchors on one
+    # box; the arrangement check still pairs all four
+    for tid in quarter:
+        assert_pairs_follow(mesh, syms, tid, reps[tid].rotation)
 
 
 def test_detect_symmetries_deterministic():
@@ -212,19 +265,21 @@ def test_symmetry_round_trips(tmp_path):
 
 
 # the symmetries the generator builds in: quarter turns about the upright
-# axis for tables, the x-mirror for chairs
+# axis for tables, the x-mirror for chairs and cabinets
 QUARTER = y_rotation(math.pi / 2)
 BUILT_IN = {
     "table": [np.linalg.matrix_power(QUARTER, k) for k in (1, 2, 3)],
     "chair": [np.diag([-1.0, 1.0, 1.0])],
+    "cabinet": [np.diag([-1.0, 1.0, 1.0])],
 }
 
 
 @pytest.fixture(scope="module")
 def suite_detections():
-    """Jitter-free suite shapes 2 (prism table) and 15 (box chair), seed 5."""
+    """Jitter-free suite shapes 2 (prism table), 4 (round-top table, whose
+    top spins freely onto itself), 15 (box chair) and 24 (cabinet), seed 5."""
     out = {}
-    for idx in (2, 15):
+    for idx in (2, 4, 15, 24):
         spec = benchmark_suite()[idx]
         assert spec.jitter == 0.0
         mesh = generate(spec)
@@ -243,6 +298,15 @@ def test_refit_matches_built_in_symmetries_on_every_vertex(suite_detections):
             assert gap < 5e-4, (spec.category, gap)
 
 
+def test_built_in_symmetries_pair_every_component(suite_detections):
+    for spec, mesh, syms in suite_detections.values():
+        v = mesh.vertices
+        reps = unique_transforms(syms)
+        for rot in BUILT_IN[spec.category]:
+            tid = min(reps, key=lambda k: np.linalg.norm(reps[k].apply(v) - v @ rot.T, axis=1).max())
+            assert_pairs_follow(mesh, syms, tid, rot)
+
+
 def test_mirror_pairs_come_out_both_ways(suite_detections):
     _, mesh, syms = suite_detections[15]
     legs = {c for c, n in enumerate(mesh.component_names) if n.startswith("leg")}
@@ -258,35 +322,45 @@ def test_early_reject_matches_full_rmsd():
     sources = [_component_cloud(mesh, c, 256, rng)[0] for c in range(2)]
     targets = [_component_cloud(mesh, c, 2048, rng)[0] for c in range(2)]
 
-    queried = []
+    bounded = []
 
-    class CountingTree(cKDTree):
+    class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
-            queried.append(len(x))
-            return super().query(x, *args, **kwargs)
+            dist, idx = super().query(x, *args, **kwargs)
+            if np.isfinite(kwargs.get("distance_upper_bound", np.inf)):
+                bounded.append(bool(np.isinf(dist).any()))
+            return dist, idx
 
-    trees = [CountingTree(t) for t in targets]
+    trees = [RecordingTree(t) for t in targets]
     plain = [cKDTree(t) for t in targets]
-    early = 0
+    # the second component tries the far box first
+    partners = [[0, 1], [1, 0]]
     for _ in range(40):
-        rot = Rotation.from_rotvec(rng.normal(scale=0.15, size=3)).as_matrix()
-        if rng.random() < 0.5:
-            rot = rot @ np.diag([-1.0, 1.0, 1.0])
-        t = RigidTransform(rot, rng.normal(scale=0.05, size=3))
+        reps = []
+        for _ in range(6):
+            rot = Rotation.from_rotvec(rng.normal(scale=0.15, size=3)).as_matrix()
+            if rng.random() < 0.5:
+                rot = rot @ np.diag([-1.0, 1.0, 1.0])
+            reps.append(RigidTransform(rot, rng.normal(scale=0.05, size=3)))
+        # rmsd[r, c, j]: transform r's cloud c against target j, unbounded
         rmsd = np.array([
-            [np.sqrt(np.mean(tree.query(t.apply(src))[0] ** 2)) for tree in plain]
-            for src in sources
+            [[np.sqrt(np.mean(tree.query(t.apply(src))[0] ** 2)) for tree in plain]
+             for src in sources]
+            for t in reps
         ])
-        # gates on both sides of each cloud's best rmsd, some within 1e-9
-        for accept in np.concatenate([rmsd.min(axis=1), rmsd.ravel()]) * rng.choice(
-            [0.2, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=6
-        ):
-            want = bool(np.all((rmsd < accept).any(axis=1)))
-            queried.clear()
-            got = _maps_arrangement(t, sources, trees, lambda c, j: True, accept)
-            assert got == want
-            early += queried.count(32) > queried.count(256 - 32)
-    assert early > 0  # the early exit was taken
+        # gates on both sides of the rmsds, some within 1e-9
+        gates = rng.choice(rmsd.ravel(), size=4) * rng.choice(
+            [0.2, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=4
+        )
+        for accept in gates:
+            want = []
+            for r in range(len(reps)):
+                pairs = [(c, next((j for j in partners[c] if rmsd[r, c, j] < accept), None))
+                         for c in range(2)]
+                want.append(None if any(j is None for _, j in pairs) else pairs)
+            assert _arrangement(reps, sources, trees, partners, accept) == want
+    assert any(bounded)  # some bounded query found no point in reach
+    assert not all(bounded)
 
 
 def test_point_to_plane_refit_keeps_reflection():
