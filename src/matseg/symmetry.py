@@ -4,16 +4,19 @@ Hypotheses come from one anchor component, after Mitra, Guibas & Pauly
 ("Partial and Approximate Symmetry Detection for 3D Geometry", SIGGRAPH
 2006): every symmetry of the shape maps the anchor onto a congruent
 component, so ICP fits of the anchor onto each congruent partner propose
-every transform worth testing. The starts are a ring of rotations about the
-upright axis, optionally composed with the x or the y mirror for reflective
-symmetry; the z mirror is the x mirror turned half way about the upright
-axis, a start the ring already has. The fits are clustered, each cluster's
-transform sharpened point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001), and
-verified on the whole shape: a transform survives when it takes every
-component onto a congruent one, and those (component, target) pairs are
-refitted on dense clouds and clustered again, so each distinct symmetry
-appears once. Its face pairs feed the CRF's symmetry factors. Detected
-symmetries are saved as one JSON document, face pairs as JSON lines.
+the shape's symmetries, as far as the starts reach them. The starts are a
+ring of rotations about the upright axis, optionally composed with the x or
+the y mirror for reflective symmetry; the z mirror is the x mirror turned
+half way about the upright axis, a start the ring already has. A component
+that stays on itself under a turn finer than the ring (a round top) would
+propose its own turns, so another serves as anchor where one can. The fits
+are clustered, each cluster's transform sharpened point-to-plane
+(Rusinkiewicz & Levoy, 3DIM 2001), and verified on the whole shape: a
+transform survives when it takes every component onto a congruent one, and
+those (component, target) pairs are refitted on dense clouds and clustered
+again, so each distinct symmetry appears once. Its face pairs feed the
+CRF's symmetry factors. Detected symmetries are saved as one JSON document,
+face pairs as JSON lines.
 """
 
 from __future__ import annotations
@@ -314,6 +317,16 @@ def _y_rotation(angle: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
+def _spins(source: np.ndarray, target: np.ndarray, tree: cKDTree, accept: float) -> bool:
+    """Whether a turn of half the start ring's step about the upright axis
+    through the component's centroid keeps its cloud on itself under the
+    gate."""
+    c = target.mean(axis=0)
+    turned = (source - c) @ _y_rotation(np.pi / _N_INIT_ROTATIONS).T + c
+    dist = tree.query(turned)[0]
+    return bool(np.sqrt(np.mean(dist * dist)) < accept)
+
+
 def _is_trivial(t: RigidTransform) -> bool:
     # identity and pure translations carry no label-coupling information
     return t.det > 0 and t.angle_axis()[0] < _TRIVIAL_ANGLE
@@ -330,10 +343,13 @@ def detect_symmetries(
 
     The anchor is the component with the fewest congruent partners
     (principal extents that agree); ties go to the largest area, then the
-    lowest index. Its cloud is fitted onto every partner under three
-    variants: direct, and mirrored across the x and the y plane through
-    the bounding-sphere center. Each variant runs ICP from 8 rotations
-    about the upright axis, all 24 starts onto one partner as one stack.
+    lowest index. A component that a turn of half the ring's step about
+    the upright axis keeps on itself under the gate is passed over when
+    another will serve. The anchor's cloud is fitted onto every partner
+    under three variants: direct, and mirrored across the x and the y
+    plane through the bounding-sphere center. Each variant runs ICP from
+    8 rotations about the upright axis, all 24 starts onto one partner as
+    one stack.
     Fits with rmsd below ``rmsd_threshold * bounding_radius`` are kept,
     and for a partner other than the anchor their inverses stand for the
     pair (partner, anchor). Near-identity and translation-only fits are
@@ -346,8 +362,9 @@ def detect_symmetries(
     congruent component under the gate, so congruences private to one pair
     (a cylindrical leg spun onto itself) do not count as shape symmetries.
     The check names each component's target; every such (component,
-    target) pair is refitted point-to-plane on the dense clouds and
-    clustered again.
+    target) pair is refitted point-to-plane on the dense clouds, dropped
+    if the refit moves the component's sparse cloud by the gate (rms) away
+    from where the checked transform put it, and clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -381,8 +398,12 @@ def detect_symmetries(
          and _congruent(signatures[c], signatures[j], accept)] if c in valid else []
         for c in range(n_comp)
     ]
+    # a component that a turn of half the ring's step keeps on itself (a
+    # round top) is passed over as anchor when another will serve: its fits
+    # land on its own turn nearest each start, which the shape may not share
     areas = [float(mesh.face_areas[mesh.component_faces(c)].sum()) for c in range(n_comp)]
-    anchor = min(valid, key=lambda c: (len(partners[c]), -areas[c], c))
+    order = sorted(valid, key=lambda c: (len(partners[c]), -areas[c], c))
+    anchor = next((c for c in order if not _spins(sources[c], targets[c], trees[c], accept)), order[0])
 
     # every start onto one partner runs as one stack; mirroring the source
     # cloud instead of the target keeps one tree per partner for all three
@@ -430,7 +451,10 @@ def detect_symmetries(
     # of the shape; keep only transforms that map every component onto
     # matching geometry, and refit each of their (component, target) pairs
     # on the dense clouds. Re-clustering merges duplicates, and fits that
-    # slid toward the identity meet the trivial gate again.
+    # slid toward the identity meet the trivial gate again. A refit that
+    # moves the component's own points by the gate, in rms, has slid to a
+    # congruence of that pair alone (a 16-gon top turned by its own 112.5
+    # degrees where the shape turns by 120) and is dropped.
     refit: list[tuple[RigidTransform, int, int, float]] = []
     for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
         for c, j in pairs or ():
@@ -438,6 +462,9 @@ def detect_symmetries(
                 targets[c], targets[j], normals[j], trees[j], rep, refit_iter, center, radius,
             )
             if rmsd >= accept or _is_trivial(fit):
+                continue
+            slide = fit.apply(sources[c]) - rep.apply(sources[c])
+            if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
                 continue
             refit.append((fit, c, j, rmsd))
     return _cluster(refit, radius)
@@ -456,14 +483,10 @@ def _arrangement(
 
     All transforms are checked at once, per (component, target): one KD
     query moves the component's cloud by every transform still pending.
-    A component's target is the first partner that passes. Two exact
-    tests spare most of the queries. The rmsd is at least the distance
-    from the moved centroid to the mean of the matched points, which lies
-    in the target's bounding box, so a centroid as far as ``accept`` from
-    the box fails without a query. And the query is bounded at
-    sqrt(n) * accept for n points: one point farther away than that
-    already puts the rmsd over the gate, so an unbounded (inf) distance
-    fails the transform exactly as the full distance would.
+    A component's target is the first partner that passes. The query is
+    bounded at sqrt(n) * accept for n points: one point farther away than
+    that already puts the rmsd over the gate, so an unbounded (inf)
+    distance fails the transform exactly as the full distance would.
     """
     if not reps:
         return []
@@ -476,21 +499,15 @@ def _arrangement(
             continue
         pending = np.flatnonzero(alive)
         moved = np.einsum("nk,sjk->snj", cloud, rot[pending]) + trans[pending, None, :]
-        centroid = rot[pending] @ cloud.mean(axis=0) + trans[pending]
         bound = math.sqrt(len(cloud)) * accept
         for j in partners[c]:
-            tree = trees[j]
-            gap = np.maximum(tree.mins - centroid, 0.0) + np.maximum(centroid - tree.maxes, 0.0)
-            near = np.flatnonzero(np.einsum("sk,sk->s", gap, gap) < accept * accept)
-            if len(near) == 0:
-                continue
-            dist = tree.query(moved[near].reshape(-1, 3), distance_upper_bound=bound)[0]
-            dist = dist.reshape(len(near), len(cloud))
-            hit = near[np.sqrt(np.mean(dist * dist, axis=1)) < accept]
+            if len(pending) == 0:
+                break
+            dist = trees[j].query(moved.reshape(-1, 3), distance_upper_bound=bound)[0]
+            dist = dist.reshape(len(pending), len(cloud))
+            hit = np.sqrt(np.mean(dist * dist, axis=1)) < accept
             match[pending[hit], c] = j
-            keep = np.ones(len(pending), dtype=bool)
-            keep[hit] = False
-            pending, moved, centroid = pending[keep], moved[keep], centroid[keep]
+            pending, moved = pending[~hit], moved[~hit]
         alive[pending] = False
     return [
         [(c, int(j)) for c, j in enumerate(row) if j >= 0] if ok else None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from matseg.symmetry import (
     symmetry_pairs,
     unique_transforms,
 )
-from matseg.synth import benchmark_suite, generate
+from matseg.synth import SynthSpec, benchmark_suite, generate
 
 
 def y_rotation(angle: float) -> np.ndarray:
@@ -305,6 +306,59 @@ def test_built_in_symmetries_pair_every_component(suite_detections):
         for rot in BUILT_IN[spec.category]:
             tid = min(reps, key=lambda k: np.linalg.norm(reps[k].apply(v) - v @ rot.T, axis=1).max())
             assert_pairs_follow(mesh, syms, tid, rot)
+
+
+@pytest.mark.parametrize("legs", [3, 5])
+def test_round_top_tables_keep_every_leg_symmetry(legs):
+    """A 16-gon top stays on itself under turns the start ring cannot tell
+    apart, so the search anchors on a box leg. Every turn and mirror that
+    carries the legs onto each other comes out once, pairing each leg with
+    the leg it carries it onto; the top is paired only under a symmetry
+    that is also the top's own, since elsewhere its dense refit slides to
+    the nearest turn of the 16-gon."""
+    spec = SynthSpec(category="table", legs=legs, leg_shape="box", top_shape="round",
+                     materials={"top": ["wood"], "leg": ["metal"]})
+    mesh = generate(spec)
+    syms = detect_symmetries(mesh, seed=5)
+    reps = unique_transforms(syms)
+    radius = mesh.bounding_radius
+    top = mesh.component_names.index("top")
+    legs_c = [c for c in range(mesh.n_components) if c != top]
+    leg_v = mesh.vertices[np.unique(mesh.faces[np.concatenate([mesh.component_faces(c) for c in legs_c])])]
+    top_v = mesh.vertices[np.unique(mesh.faces[mesh.component_faces(top)])]
+    cents = component_centroids(mesh)
+    turns = [y_rotation(2.0 * math.pi * k / legs) for k in range(legs)]
+    built_in = turns[1:] + [r @ np.diag([1.0, 1.0, -1.0]) for r in turns]
+    assert len(reps) == len(built_in)
+    for rot in built_in:
+        gaps = {k: np.linalg.norm(t.apply(leg_v) - leg_v @ rot.T, axis=1).max() / radius
+                for k, t in reps.items()}
+        tid = min(gaps, key=gaps.get)
+        assert gaps[tid] < 5e-4
+        top_shared = cKDTree(top_v).query(top_v @ rot.T)[0].max() < 1e-9 * radius
+        want = {
+            c: int(np.argmin(np.linalg.norm(cents - rot @ cents[c], axis=1)))
+            for c in legs_c + ([top] if top_shared else [])
+        }
+        got = [(s.source_component, s.target_component) for s in syms if s.transform_id == tid]
+        assert len(got) == len(dict(got)) and dict(got) == want, (rot.round(3), got)
+
+
+@pytest.mark.parametrize("index, seed", [(26, 344051081026), (25, 80521325025)])
+def test_jittered_cabinets_keep_the_x_mirror(index, seed):
+    """Cabinets whose x-mirror fit sits near the gate (jitter 0.002): the
+    mirror pairs every component, doors and knobs swapped."""
+    spec = dataclasses.replace(benchmark_suite()[index], jitter=0.002, seed=seed)
+    mesh = generate(spec)
+    syms = detect_symmetries(mesh, seed=seed)
+    reps = unique_transforms(syms)
+    v = mesh.vertices
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    gaps = {k: np.linalg.norm(t.apply(v) - v @ mirror.T, axis=1).max() / mesh.bounding_radius
+            for k, t in reps.items()}
+    tid = min(gaps, key=gaps.get)
+    assert gaps[tid] < 0.02
+    assert_pairs_follow(mesh, syms, tid, mirror)
 
 
 def test_mirror_pairs_come_out_both_ways(suite_detections):
