@@ -21,7 +21,6 @@ from .config import PipelineConfig, apply_items, load_config
 from .crf import (
     CrfWeights,
     build_crf,
-    face_label_matrix,
     load_face_predictions,
     load_sample_probs,
     mean_field_infer,
@@ -35,7 +34,7 @@ from .errors import ConfigError, InterchangeError, MatsegError, UnknownComponent
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
 from .jsonl import read_jsonl, write_jsonl
-from .materials import MATERIALS, material_indices
+from .materials import MATERIALS, material_indices, multihot
 from .mesh import attach_labels, compute_adjacency, load_labels, load_obj, save_labels, save_obj
 from .sampling import (
     load_samples,
@@ -338,7 +337,7 @@ def _build_shape_graph(d: str, weights=None, with_truth=False):
     sym_path = os.path.join(d, SYMMETRY_PAIRS_FILE)
     dist_pairs = load_distance_pairs(geo_path) if os.path.exists(geo_path) else None
     sym_pairs = load_symmetry_pairs(sym_path) if os.path.exists(sym_path) else None
-    truth = face_label_matrix(mesh) if with_truth else None
+    truth = multihot(mesh.labels)[mesh.face_component].T if with_truth else None
     return build_crf(
         mesh,
         positions_of(samples),

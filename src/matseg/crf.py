@@ -189,16 +189,6 @@ class Marginals:
     free_energy: list[float] = field(default_factory=list)
 
 
-def face_label_matrix(mesh: LabeledMesh, materials=MATERIALS) -> np.ndarray:
-    """Binary (material, face) matrix from the mesh's component label sets."""
-    per_component = np.zeros((len(materials), mesh.n_components))
-    for c, labels in enumerate(mesh.labels):
-        for name in labels or ():
-            if name in materials:
-                per_component[materials.index(name), c] = 1.0
-    return per_component[:, mesh.face_component]
-
-
 def build_crf(
     mesh: LabeledMesh,
     sample_positions: np.ndarray,

@@ -21,7 +21,7 @@ from .bvh import TriangleBvh
 from .config import DescriptorConfig
 from .errors import InterchangeError, MissingDataError
 from .jsonl import finite_array, one_of, read_json, write_json
-from .materials import MATERIALS, NUM_MATERIALS
+from .materials import MATERIALS, NUM_MATERIALS, multihot
 from .mesh import LabeledMesh
 from .sampling import SurfaceSample, positions_of
 
@@ -182,13 +182,7 @@ def _thickness(bvh, pos, normals, radius) -> tuple[np.ndarray, np.ndarray]:
 
 def label_matrix(samples: list[SurfaceSample], materials=MATERIALS) -> np.ndarray:
     """Multi-hot (S, M) ground-truth matrix from sample label sets."""
-    out = np.zeros((len(samples), len(materials)))
-    index = {name: k for k, name in enumerate(materials)}
-    for i, s in enumerate(samples):
-        for name in s.labels.names():
-            if name in index:
-                out[i, index[name]] = 1.0
-    return out
+    return multihot([s.labels for s in samples], materials)
 
 
 class DescriptorNet:

@@ -14,17 +14,9 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidKError
 from .jsonl import write_json
-from .materials import MATERIALS, MaterialLabelSet
+from .materials import MATERIALS
 
 DEFAULT_KS = (1, 30, 100)
-
-
-def labels_to_multihot(labels: list[MaterialLabelSet], n_classes: int = len(MATERIALS)) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
-    for i, ls in enumerate(labels):
-        for m in ls.indices():
-            out[i, m] = 1.0
-    return out
 
 
 def balance_database(db_labels: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -86,14 +78,7 @@ def precision_at_k(
     shares = (query_labels @ db_labels.T) > 0
     hits = np.take_along_axis(shares, order, axis=1).mean(axis=1)
 
-    n_classes = query_labels.shape[1]
-    per_class = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        members = query_labels[:, c] > 0
-        if members.any():
-            per_class[c] = float(hits[members].mean())
-    mean = float(np.nanmean(per_class)) if np.any(~np.isnan(per_class)) else float("nan")
-    return per_class, mean
+    return _per_class_mean(hits, query_labels)
 
 
 def top1_accuracy(predictions: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, float]:
@@ -108,13 +93,17 @@ def top1_accuracy(predictions: np.ndarray, truths: np.ndarray) -> tuple[np.ndarr
         raise AlignmentError(
             f"{len(predictions)} predictions vs {len(truths)} ground-truth rows"
         )
-    n_classes = truths.shape[1]
-    correct = truths[np.arange(len(predictions)), predictions] > 0
-    per_class = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        members = truths[:, c] > 0
+    return _per_class_mean(truths[np.arange(len(predictions)), predictions] > 0, truths)
+
+
+def _per_class_mean(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per class, the mean score of the rows whose labels hold it (NaN when
+    none does), and the unweighted mean over the classes that have rows."""
+    per_class = np.full(labels.shape[1], np.nan)
+    for c in range(labels.shape[1]):
+        members = labels[:, c] > 0
         if members.any():
-            per_class[c] = float(correct[members].mean())
+            per_class[c] = float(scores[members].mean())
     mean = float(np.nanmean(per_class)) if np.any(~np.isnan(per_class)) else float("nan")
     return per_class, mean
 

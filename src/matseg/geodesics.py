@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from .config import GeodesicConfig
 from .jsonl import read_jsonl, unit, write_jsonl
 from .mesh import FaceAdjacency, LabeledMesh
+from .sampling import farthest_points
 
 _DIAMETER_SEEDS = 8
 _SOURCE_CHUNK = 256
@@ -55,26 +56,12 @@ def dual_graph(mesh: LabeledMesh, adjacency: FaceAdjacency) -> csr_matrix:
 def estimate_diameter(mesh: LabeledMesh, graph: csr_matrix, n_seeds: int = _DIAMETER_SEEDS) -> float:
     """Largest finite Dijkstra distance from a small farthest-point seed set."""
     n = graph.shape[0]
-    seeds = _fps_faces(mesh, min(n_seeds, n))
+    seeds = farthest_points(mesh.face_centroids(), min(n_seeds, n), 0)
     dist = dijkstra(graph, directed=False, indices=seeds)
     finite = dist[np.isfinite(dist)]
     if finite.size == 0:
         return 0.0
     return float(finite.max())
-
-
-def _fps_faces(mesh: LabeledMesh, k: int) -> list[int]:
-    """Euclidean farthest-point face picks over centroids, from face 0."""
-    centroids = mesh.face_centroids()
-    chosen = [0]
-    d = np.linalg.norm(centroids - centroids[0], axis=1)
-    while len(chosen) < k:
-        nxt = int(np.argmax(d))
-        if d[nxt] <= 0.0 and len(chosen) > 1:
-            break
-        chosen.append(nxt)
-        d = np.minimum(d, np.linalg.norm(centroids - centroids[nxt], axis=1))
-    return chosen
 
 
 def geodesic_pairs(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MATERIALS: tuple[str, ...] = ("wood", "plastic", "metal", "glass", "fabric")
 MATERIAL_INDEX: dict[str, int] = {name: i for i, name in enumerate(MATERIALS)}
 NUM_MATERIALS = len(MATERIALS)
@@ -19,6 +21,18 @@ def material_indices(names, materials=MATERIALS) -> tuple[int, ...]:
         if name not in materials:
             raise ValueError(f"unknown material {name!r}")
     return tuple(materials.index(name) for name in names)
+
+
+def multihot(label_sets, materials=MATERIALS) -> np.ndarray:
+    """(n, len(materials)) 0/1 array: row i marks the names of the i-th label
+    set that are in ``materials``. A None set marks nothing."""
+    label_sets = list(label_sets)
+    out = np.zeros((len(label_sets), len(materials)))
+    for i, names in enumerate(label_sets):
+        for name in names or ():
+            if name in materials:
+                out[i, materials.index(name)] = 1.0
+    return out
 
 
 def label_map(doc: dict) -> dict[str, list[str]]:

@@ -281,12 +281,10 @@ class FaceAdjacency:
 
     pairs : (E, 2) int array, each row (f, f') with f < f'
     omega : (E,) angle between face normals divided by pi, in [0, 1]
-    connected_component : (F,) component id per face under edge-sharing
     """
 
     pairs: np.ndarray
     omega: np.ndarray
-    connected_component: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -294,7 +292,7 @@ class FaceAdjacency:
 
 
 def compute_adjacency(mesh: LabeledMesh) -> FaceAdjacency:
-    """Build the adjacency pair list and connectivity labels for a mesh.
+    """Build the adjacency pair list of a mesh.
 
     Non-manifold edges (more than two incident faces) connect every incident
     face pair, so smoothing still flows across repository-mesh defects.
@@ -310,24 +308,4 @@ def compute_adjacency(mesh: LabeledMesh) -> FaceAdjacency:
         pairs = np.zeros((0, 2), dtype=np.int64)
         omega = np.zeros(0)
 
-    connected = _connected_components(mesh.n_faces, pairs)
-    return FaceAdjacency(pairs=pairs, omega=omega, connected_component=connected)
-
-
-def _connected_components(n: int, pairs: np.ndarray) -> np.ndarray:
-    parent = np.arange(n)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+    return FaceAdjacency(pairs=pairs, omega=omega)

@@ -64,36 +64,36 @@ def sample_surface_points(
     if total <= 0.0:
         raise EmptyMeshError("mesh has zero surface area")
     rng = np.random.default_rng(seed)
-    probs = mesh.face_areas / total
-
-    faces, bary = _draw(mesh, rng, probs, n)
+    every = np.arange(mesh.n_faces)
+    faces, bary, pos = draw_surface(mesh, every, n, rng)
     if relax_iterations > 0 and n >= 3:
-        faces, bary = _relax(mesh, rng, probs, faces, bary, relax_iterations)
-    return _make_samples(mesh, faces, bary)
+        faces, bary, pos = _relax(mesh, rng, every, faces, bary, pos, relax_iterations)
+    return _make_samples(mesh, faces, bary, pos)
 
 
-def _draw(mesh, rng, probs, count):
-    faces = rng.choice(mesh.n_faces, size=count, p=probs)
+def draw_surface(mesh: LabeledMesh, faces: np.ndarray, count: int, rng):
+    """``count`` area-weighted random points on ``faces``: the face,
+    barycentric coordinates and position of each. Faces of no area give
+    no points."""
+    areas = mesh.face_areas[faces]
+    total = float(areas.sum())
+    if total <= 0.0:
+        return faces[:0], np.zeros((0, 3)), np.zeros((0, 3))
+    picked = rng.choice(faces, size=count, p=areas / total)
     r1 = np.sqrt(rng.random(count))
     r2 = rng.random(count)
     bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
-    return faces, bary
+    return picked, bary, np.einsum("ik,ikj->ij", bary, mesh.vertices[mesh.faces[picked]])
 
 
-def _bary_positions(mesh, faces, bary):
-    return np.einsum("ik,ikj->ij", bary, mesh.vertices[mesh.faces[faces]])
-
-
-def _relax(mesh, rng, probs, faces, bary, iterations):
-    pos = _bary_positions(mesh, faces, bary)
+def _relax(mesh, rng, every, faces, bary, pos, iterations):
     for _ in range(iterations):
         tree = cKDTree(pos)
         dist, _ = tree.query(pos, k=2)
         crowded = int(np.argmin(dist[:, 1]))
         others = np.delete(pos, crowded, axis=0)
         other_tree = cKDTree(others)
-        cand_faces, cand_bary = _draw(mesh, rng, probs, _RELAX_CANDIDATES)
-        cand_pos = _bary_positions(mesh, cand_faces, cand_bary)
+        cand_faces, cand_bary, cand_pos = draw_surface(mesh, every, _RELAX_CANDIDATES, rng)
         cand_dist, _ = other_tree.query(cand_pos)
         best = int(np.argmax(cand_dist))
         if cand_dist[best] > dist[crowded, 1]:
@@ -102,11 +102,10 @@ def _relax(mesh, rng, probs, faces, bary, iterations):
             faces[crowded] = cand_faces[best]
             bary[crowded] = cand_bary[best]
             pos[crowded] = cand_pos[best]
-    return faces, bary
+    return faces, bary, pos
 
 
-def _make_samples(mesh, faces, bary):
-    pos = _bary_positions(mesh, faces, bary)
+def _make_samples(mesh, faces, bary, pos):
     samples = []
     for i in range(len(faces)):
         f = int(faces[i])
@@ -208,14 +207,20 @@ def subsample_even(samples: list[SurfaceSample], k: int, seed: int) -> list[Surf
         )
         return list(samples)
     rng = np.random.default_rng(seed)
-    pos = positions_of(samples)
-    chosen = [int(rng.integers(len(samples)))]
-    dist = np.linalg.norm(pos - pos[chosen[0]], axis=1)
+    chosen = farthest_points(positions_of(samples), k, int(rng.integers(len(samples))))
+    return [samples[i] for i in chosen]
+
+
+def farthest_points(points: np.ndarray, k: int, first: int) -> list[int]:
+    """Indices of ``k`` greedy farthest-point picks, from index ``first``:
+    each pick is the point farthest from all earlier picks."""
+    chosen = [first]
+    dist = np.linalg.norm(points - points[first], axis=1)
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(pos - pos[nxt], axis=1))
-    return [samples[i] for i in chosen]
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return chosen
 
 
 def save_samples(path: str, samples: list[SurfaceSample]) -> None:

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
@@ -32,6 +34,7 @@ from .config import SymmetryConfig
 from .errors import DegenerateGeometryError
 from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
 from .mesh import UPRIGHT_AXIS, LabeledMesh
+from .sampling import draw_surface
 
 _N_INIT_ROTATIONS = 8
 # dense target clouds keep the nearest-neighbor rmsd floor of a correct
@@ -279,20 +282,6 @@ def icp_align(
     return RigidTransform(r[0], t[0]), float(rmsd[0])
 
 
-def _component_cloud(mesh: LabeledMesh, comp: int, n: int, rng):
-    """n area-weighted surface samples of a component and the face of each."""
-    faces = mesh.component_faces(comp)
-    areas = mesh.face_areas[faces]
-    total = float(areas.sum())
-    if total <= 0.0 or len(faces) == 0:
-        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-    pick = rng.choice(faces, size=n, p=areas / total)
-    r1 = np.sqrt(rng.random(n))
-    r2 = rng.random(n)
-    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
-    return np.einsum("ik,ikj->ij", bary, mesh.vertices[mesh.faces[pick]]), pick
-
-
 def _signature(cloud: np.ndarray) -> np.ndarray:
     """Sorted square roots of the PCA eigenvalues: the cloud's extent along
     its principal axes, unchanged by any rotation or reflection."""
@@ -375,12 +364,11 @@ def detect_symmetries(
     targets = []
     normals = []
     for c in range(n_comp):
-        sources.append(_component_cloud(mesh, c, samples_per_component, rng)[0])
-        cloud, faces = _component_cloud(
-            mesh, c, _TARGET_DENSITY * samples_per_component, rng
-        )
+        faces = mesh.component_faces(c)
+        sources.append(draw_surface(mesh, faces, samples_per_component, rng)[2])
+        picked, _, cloud = draw_surface(mesh, faces, _TARGET_DENSITY * samples_per_component, rng)
         targets.append(cloud)
-        normals.append(mesh.face_normals[faces])
+        normals.append(mesh.face_normals[picked])
 
     tol = 1e-9 * radius
     accept = rmsd_threshold * radius
@@ -533,18 +521,11 @@ def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
     m = len(candidates)
     if m == 0:
         return []
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # two candidates share a cluster when they have the same kind, close
-    # angles, axes (either sign at a half turn; any axis near the identity)
-    # and translations; tested for all pairs at once, as candidate counts
-    # reach the hundreds
+    # two candidates are linked when they have the same kind, close angles,
+    # axes (either sign at a half turn; any axis near the identity) and
+    # translations; tested for all pairs at once, as candidate counts reach
+    # the hundreds. Clusters are the connected groups of links, numbered in
+    # the order of their first candidate.
     dets = np.array([c[0].det for c in candidates])
     trans = np.stack([c[0].translation for c in candidates])
     angs = np.empty(m)
@@ -563,21 +544,11 @@ def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
     small = angs <= _TRIVIAL_ANGLE
     axis_ok |= small[:, None] & small[None, :]
     same &= axis_ok
+    cluster_ids = connected_components(csr_matrix(same), directed=False)[1]
 
-    for a, b in np.argwhere(np.triu(same, 1)):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    roots: dict[int, int] = {}
     members: dict[int, list[RigidTransform]] = {}
     pair_best: dict[tuple[int, int, int], float] = {}
-    for idx in range(m):
-        t, i, j, rmsd = candidates[idx]
-        root = find(idx)
-        if root not in roots:
-            roots[root] = len(roots)
-        cid = roots[root]
+    for (t, i, j, rmsd), cid in zip(candidates, cluster_ids.tolist()):
         members.setdefault(cid, []).append(t)
         key = (cid, i, j)
         if key not in pair_best or rmsd < pair_best[key]:

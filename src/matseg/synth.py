@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InterchangeError
 from .jsonl import one_of, read_json, write_json
-from .materials import MATERIALS, MaterialLabelSet, label_map
+from .materials import MATERIALS, MaterialLabelSet, label_map, multihot
 from .mesh import LabeledMesh, build_mesh
 
 CATEGORIES = ("table", "chair", "cabinet")
@@ -380,22 +380,15 @@ def corrupt_unaries(
 ) -> np.ndarray:
     """Simulated classifier probabilities: 0.9 on a chosen label, rest even.
 
-    With probability 1 - noise_rate the chosen label is a true one
-    (uniformly among the truth set); otherwise it is drawn from the
-    confusion row of a uniformly chosen true label. Rows sum to 1.
+    ``truths`` is an (n, M) 0/1 array or a list of n label sets. With
+    probability 1 - noise_rate the chosen label is a true one (uniformly
+    among the truth set); otherwise it is drawn from the confusion row of a
+    uniformly chosen true label. Rows sum to 1.
     """
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must lie in [0, 1]")
     if not isinstance(truths, np.ndarray):
-        truths = np.array(
-            [
-                [1.0 if name in t else 0.0 for name in MATERIALS]
-                if isinstance(t, MaterialLabelSet)
-                else t
-                for t in truths
-            ],
-            dtype=np.float64,
-        )
+        truths = multihot(truths)
     truths = np.asarray(truths, dtype=np.float64)
     n, m = truths.shape
     bias = DEFAULT_CONFUSION if confusion_bias is None else np.asarray(confusion_bias)

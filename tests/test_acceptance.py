@@ -20,7 +20,6 @@ from matseg.crf import (
     brute_force_marginals,
     build_crf,
     exact_log_likelihood,
-    face_label_matrix,
     mean_field_infer,
     train_crf,
 )
@@ -37,6 +36,7 @@ from matseg.evaluation import (
     top1_accuracy,
 )
 from matseg.geodesics import geodesic_pairs
+from matseg.materials import multihot
 from matseg.mesh import compute_adjacency
 from matseg.symmetry import detect_symmetries, symmetry_pairs
 from matseg.synth import (
@@ -242,8 +242,8 @@ def test_07_smoothing_benchmark(capsys):
         adjacency = compute_adjacency(mesh)
         dist = geodesic_pairs(mesh, adjacency)
         spairs = symmetry_pairs(mesh, detect_symmetries(mesh))
-        truth = face_label_matrix(mesh)
         face_sets = [mesh.face_label_set(f) for f in range(mesh.n_faces)]
+        truth = multihot(face_sets).T
         probs = corrupt_unaries(face_sets, 0.25, seed=1000 + idx)
         graphs.append(build_crf(mesh, mesh.face_centroids(), probs, adjacency,
                                 dist, spairs, truth=truth))

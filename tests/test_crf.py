@@ -15,7 +15,6 @@ from matseg.crf import (
     build_crf,
     crf_gradient,
     exact_log_likelihood,
-    face_label_matrix,
     free_energy,
     load_face_predictions,
     load_sample_probs,
@@ -516,14 +515,3 @@ def test_face_predictions_round_trip(tmp_path):
     assert np.array_equal(top1, pred.top1)
     assert sets == pred.label_sets
     assert np.array_equal(q_back, q)
-
-
-def test_face_label_matrix(cube):
-    mesh = attach_labels(cube, {"top": ["glass"], "rest": ["metal", "plastic"]})
-    mat = face_label_matrix(mesh)
-    top = mesh.component_faces("top")
-    rest = mesh.component_faces("rest")
-    glass = MATERIALS.index("glass")
-    assert np.all(mat[glass, top] == 1.0)
-    assert np.all(mat[[MATERIALS.index("metal"), MATERIALS.index("plastic")]][:, rest] == 1.0)
-    assert mat.sum() == len(top) + 2 * len(rest)

@@ -10,11 +10,10 @@ from matseg.evaluation import (
     balance_database,
     build_report,
     confusion_matrix,
-    labels_to_multihot,
     precision_at_k,
     top1_accuracy,
 )
-from matseg.materials import MATERIALS, MaterialLabelSet
+from matseg.materials import MATERIALS
 
 
 def multihot(*rows):
@@ -180,13 +179,6 @@ def test_metrics_match_reference_implementations():
         assert np.array_equal(t1[~np.isnan(t1)], rt1[~np.isnan(rt1)]) and tm == rtm
 
         assert np.array_equal(confusion_matrix(preds, ql), ref_confusion(preds, ql))
-
-
-def test_labels_to_multihot():
-    rows = [MaterialLabelSet(["wood"]), MaterialLabelSet(["metal", "glass"]),
-            MaterialLabelSet()]
-    mat = labels_to_multihot(rows)
-    assert np.array_equal(mat, multihot((0,), (2, 3), ()))
 
 
 def test_report_round_trip(tmp_path):

@@ -9,11 +9,11 @@ from scipy.spatial.transform import Rotation
 
 from matseg.errors import DegenerateGeometryError
 from matseg.mesh import build_mesh
+from matseg.sampling import draw_surface
 from matseg.symmetry import (
     DetectedSymmetry,
     RigidTransform,
     _arrangement,
-    _component_cloud,
     _icp_stack,
     _refit,
     detect_symmetries,
@@ -27,6 +27,12 @@ from matseg.symmetry import (
 )
 from matseg.synth import SynthSpec, benchmark_suite, generate
 
+
+
+def component_cloud(mesh, comp, n, rng):
+    """n area-weighted surface points of a component, and the face of each."""
+    faces, _, points = draw_surface(mesh, mesh.component_faces(comp), n, rng)
+    return points, faces
 
 def y_rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
@@ -127,9 +133,9 @@ def test_stacked_starts_match_single_starts():
     # and two opposite boxes at once, which cannot fit one box
     mesh = four_box_mesh()
     rng = np.random.default_rng(4)
-    src = _component_cloud(mesh, 0, 256, rng)[0]
-    pair = np.vstack([src[:128], _component_cloud(mesh, 2, 128, rng)[0]])
-    dst = _component_cloud(mesh, 1, 2048, rng)[0]
+    src = component_cloud(mesh, 0, 256, rng)[0]
+    pair = np.vstack([src[:128], component_cloud(mesh, 2, 128, rng)[0]])
+    dst = component_cloud(mesh, 1, 2048, rng)[0]
     tree = cKDTree(dst)
     mirror = np.diag([-1.0, 1.0, 1.0])
     stack = np.stack([src] * 8 + [src @ mirror] * 8 + [pair] * 8)
@@ -373,8 +379,8 @@ def test_mirror_pairs_come_out_both_ways(suite_detections):
 def test_early_reject_matches_full_rmsd():
     mesh = four_box_mesh()
     rng = np.random.default_rng(11)
-    sources = [_component_cloud(mesh, c, 256, rng)[0] for c in range(2)]
-    targets = [_component_cloud(mesh, c, 2048, rng)[0] for c in range(2)]
+    sources = [component_cloud(mesh, c, 256, rng)[0] for c in range(2)]
+    targets = [component_cloud(mesh, c, 2048, rng)[0] for c in range(2)]
 
     bounded = []
 
@@ -433,8 +439,8 @@ def test_point_to_plane_refit_keeps_reflection():
         ("left", "right"), np.repeat([0, 1], 12),
     )
     rng = np.random.default_rng(2)
-    src = _component_cloud(mesh, 0, 4096, rng)[0]
-    dst, faces = _component_cloud(mesh, 1, 4096, rng)
+    src = component_cloud(mesh, 0, 4096, rng)[0]
+    dst, faces = component_cloud(mesh, 1, 4096, rng)
     mirror = np.diag([-1.0, 1.0, 1.0])
     start = RigidTransform(
         y_rotation(0.05) @ mirror, np.array([0.02, -0.01, 0.015])
