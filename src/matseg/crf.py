@@ -10,8 +10,9 @@ over pi), geodesic proximity (normalized distance), and detected symmetry
     log phi(l, l)  = -W * T[l, l] * k
     log phi(l, l') = -W * T[l, l'] * (1 - k)   for l != l'
 
-Inference is damped synchronous mean field; training is gradient ascent on
-the mean-field-approximated log-likelihood. Every factor couples only
+Inference is synchronous mean field with a backtracking step, so the free
+energy never rises; training is gradient ascent on the
+mean-field-approximated log-likelihood. Every factor couples only
 same-material variables, so the materials are independent subproblems.
 They are solved as one batch: beliefs form a (face, material) array, and
 each sweep is one sparse product with a per-graph operator that stacks
@@ -38,7 +39,10 @@ from .symmetry import SymmetryPair
 
 FAMILIES = ("adj", "dist", "sym")
 PROB_CLAMP = 1e-6
-DAMPING = 0.5
+# a sweep's free energy rises when it exceeds the last by more than this
+# share of its size, above the rounding of a sum over thousands of faces
+_ROUNDING = 1e-12
+_MAX_HALVINGS = 20
 _ORACLE_LIMIT = 20
 _WEIGHTS_FORMAT = "crf-weights-v1"
 
@@ -311,49 +315,76 @@ def _energies(q: np.ndarray, g: np.ndarray, offset: np.ndarray, const: np.ndarra
 
 def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
                      tol: float = CrfConfig.infer_tol) -> Marginals:
-    """Damped synchronous mean field over all materials at once.
+    """Synchronous mean field with a backtracking step, all materials at once.
 
     Beliefs start at the unaries and form one (F, M) array. Each sweep
-    recomputes them from the previous sweep's values with one sparse
-    product and mixes with damping 0.5. A material stops on its own once
-    its largest belief change falls below ``tol`` or after ``max_iter``
-    sweeps, and stays frozen: only moving materials enter the product, so
-    each gets the same bits as on its own. ``sweeps`` is the largest
-    per-material count; ``converged`` holds only if every material
-    converged (non-convergence is reported, not raised). The free-energy
-    trace sums the per-material free energies, a stopped material held at
-    its final value. The energy of a state reuses the product its next
-    sweep needs, so the trace costs one extra product at the end.
+    computes fresh beliefs from the current ones with one sparse product
+    and steps half way toward them. The free energy's gradient is
+    logit(q) - logit(fresh), so ``fresh - q`` always descends: a material
+    whose half step raises its free energy by more than rounding halves
+    its step until it does not, at most _MAX_HALVINGS times, and the
+    halving materials are re-scored together in one product. The product
+    of the accepted beliefs serves the next sweep. A material stops on its
+    own once the half step would change no belief by ``tol`` or more, or
+    after ``max_iter`` sweeps, and stays frozen: only moving materials
+    enter the product, so each gets the same bits as on its own.
+    ``sweeps`` is the largest per-material count; ``converged`` holds only
+    if every material converged (non-convergence is reported, not raised).
+    The free-energy trace sums the per-material free energies, a stopped
+    material held at its final value.
     """
+    coupling = graph._coupling
     coef, offset, const = _field_terms(graph)
     q = np.array(graph.unary.T, order="C")
+    g = coupling.apply(coef, q)
+    energy = _energies(q, g, offset, const)
+    held = energy.copy()
     out = np.empty_like(q)
     sweeps = np.zeros(graph.n_materials, dtype=np.int64)
     converged = np.zeros(graph.n_materials, dtype=bool)
-    energy = np.zeros(graph.n_materials)
     cols = np.arange(graph.n_materials)
-    trace = []
+    trace = [float(held.sum())]
     while True:
-        g = graph._coupling.apply(coef, q)
-        energy[cols] = _energies(q, g, offset, const)
-        trace.append(float(energy.sum()))
         moving = ~converged[cols] & (sweeps[cols] < max_iter)
         if not moving.all():
             out[:, cols[~moving]] = q[:, ~moving]
-            cols, q, g = cols[moving], q[:, moving], g[:, moving]
+            cols, q, g, energy = cols[moving], q[:, moving], g[:, moving], energy[moving]
             coef, offset, const = coef[:, moving], offset[:, moving], const[moving]
         if not len(cols):
             break
         # expit is overflow-safe; the clip keeps saturated beliefs off exact
         # 0/1 so the entropy term stays finite
         fresh = expit(offset - g)
-        new = np.clip(DAMPING * q + (1.0 - DAMPING) * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        new = np.clip(0.5 * q + 0.5 * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
         delta = np.abs(new - q).max(axis=0, initial=0.0)
-        q = new
+        g_new = coupling.apply(coef, new)
+        e_new = _energies(new, g_new, offset, const)
+        if (e_new > energy).any():
+            _backtrack(coupling, coef, offset, const, q, fresh, energy, new, g_new, e_new)
+        q, g, energy = new, g_new, e_new
         sweeps[cols] += 1
         converged[cols] = delta < tol
+        held[cols] = energy
+        trace.append(float(held.sum()))
     q_out = np.ascontiguousarray(out.T)
     return Marginals(q_out, bool(converged.all()), int(sweeps.max(initial=0)), trace)
+
+
+def _backtrack(coupling, coef, offset, const, q, fresh, energy, new, g_new, e_new) -> None:
+    """Halve the step of every material whose candidate beliefs ``new`` raise
+    its free energy above ``energy`` by more than rounding, until none does
+    or _MAX_HALVINGS times; one product re-scores all of them per halving.
+    Updates ``new``, its product ``g_new`` and energies ``e_new`` in place."""
+    step = 0.5
+    for _ in range(_MAX_HALVINGS):
+        up = np.flatnonzero(e_new - energy > _ROUNDING * np.abs(energy))
+        if not len(up):
+            return
+        step *= 0.5
+        cand = np.clip((1.0 - step) * q[:, up] + step * fresh[:, up], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        g_up = coupling.apply(coef[:, up], cand)
+        new[:, up], g_new[:, up] = cand, g_up
+        e_new[up] = _energies(cand, g_up, offset[:, up], const[up])
 
 
 def free_energy(graph: CrfGraph, q: np.ndarray) -> float:

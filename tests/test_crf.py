@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from matseg.crf import (
     save_sample_probs,
     train_crf,
 )
+from matseg.config import CrfConfig
 from matseg.errors import (
     InterchangeError,
     InvalidGraphError,
@@ -232,6 +235,17 @@ def test_nonconvergence_flagged_not_raised():
     g = one_material_graph([0.9, 0.1], adj=[(0, 1, 0.0)], weights=w)
     marg = mean_field_infer(g, max_iter=1)
     assert marg.converged is False
+
+
+def test_stored_two_cycle_converges_and_descends():
+    # weights learned from predicted unaries, on which a fixed half step
+    # swung the metal beliefs between two states until the sweep cap
+    doc = json.loads((Path(__file__).parents[1] / "bench" / "fault_case.json").read_text(encoding="utf-8"))
+    g = CrfGraph(materials=tuple(doc["materials"]), n_faces=doc["n_faces"], unary=doc["unary"],
+                 edges=doc["edges"], coeffs=doc["coeffs"], weights=CrfWeights.from_obj(doc["weights"]))
+    marg = mean_field_infer(g)
+    assert marg.converged and marg.sweeps < CrfConfig.infer_iter
+    assert np.max(np.diff(marg.free_energy)) <= 1e-9
 
 
 def test_material_decomposition_bitwise():
