@@ -92,8 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common], help="draw evened surface samples")
     _shape_flags(p)
-    p.add_argument("-n", type=int, default=None, help="points to draw before filtering")
-    p.add_argument("-k", type=int, default=None, help="points to keep after subsampling")
+    p.add_argument("-n", type=int, dest="sampling.n_points", metavar="N",
+                   help="points to draw before filtering (sampling.n_points)")
+    p.add_argument("-k", type=int, dest="sampling.keep", metavar="K",
+                   help="points to keep after subsampling (sampling.keep)")
 
     p = sub.add_parser("symmetry", parents=[common], help="detect symmetries and face pairs")
     _shape_flags(p)
@@ -138,6 +140,8 @@ def _effective_config(args) -> PipelineConfig:
         pairs.append((key.strip(), value))
     if args.seed is not None:
         pairs.append(("run.seed", str(args.seed)))
+    # flags whose destination is a config key, such as sample's -n
+    pairs += [(key, str(value)) for key, value in vars(args).items() if "." in key and value is not None]
     return apply_items(config, pairs)
 
 
@@ -216,8 +220,7 @@ def _cmd_sample(args, config: PipelineConfig) -> int:
     mesh_path = _mesh_path(args)
     mesh = _load_shape(mesh_path)
     cfg = config.sampling
-    n = args.n if args.n is not None else cfg.n_points
-    k = args.k if args.k is not None else cfg.keep
+    n, k = cfg.n_points, cfg.keep
     samples = sample_surface_points(mesh, n, seed=config.run.seed, relax_iterations=cfg.relax_iterations)
     visible = visibility_filter(mesh, samples, n_rays=cfg.visibility_rays, offset=cfg.visibility_offset)
     if not visible:
@@ -292,9 +295,6 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
         rng = np.random.default_rng(config.run.seed)
         idx = np.sort(rng.choice(len(features), size=cfg.max_train_points, replace=False))
         features, truth = features[idx], truth[idx]
-    lambdas = None
-    if not (np.isnan(cfg.lambda_class) or np.isnan(cfg.lambda_contr)):
-        lambdas = (cfg.lambda_class, cfg.lambda_contr)
     net, trace = train_descriptor(
         features,
         truth,
@@ -306,7 +306,6 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
         lr=cfg.lr,
         layer_sizes=cfg.layer_sizes,
         margin=cfg.margin,
-        lambdas=lambdas,
     )
     out = _out_path(args, args.data, NET_FILE)
     net.save(out)

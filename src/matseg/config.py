@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+FEATURE_DIM = 64  # the width of extract_features' vectors: the net's input layer
+# (class, contrastive) loss weights of each descriptor.variant
+LAMBDA_PRESETS = {"multitask": (0.016, 1.0), "classification": (1.0, 0.0)}
+
 
 @dataclass
 class RunConfig:
@@ -53,10 +57,7 @@ class DescriptorConfig:
     steps_per_epoch: int = 4
     lr: float = 0.001
     margin: float = math.sqrt(0.2) - 0.2
-    # nan = follow the variant's preset mix
-    lambda_class: float = float("nan")
-    lambda_contr: float = float("nan")
-    layer_sizes: tuple = (64, 128, 64, 32)
+    layer_sizes: tuple = (FEATURE_DIM, 128, 64, 32)
     max_train_points: int = 1024
 
 
@@ -113,13 +114,27 @@ def _parse(raw: str, template, where: str):
                 raise ValueError(f"{value} is negative")
             return value
         if isinstance(template, float):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"{value} is not finite")
+            return value
         if isinstance(template, tuple):
             parts = [p for p in raw.split(",") if p.strip()]
             return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return raw
+
+
+# values the stages cannot run with, beyond their type and sign
+_VALID = {
+    "sampling.n_points": (lambda n: n >= 1, "at least 1"),
+    "geodesic.radius_fraction": (lambda r: r > 0.0, "more than 0"),
+    "descriptor.variant": (lambda v: v in LAMBDA_PRESETS, f"one of {sorted(LAMBDA_PRESETS)}"),
+    "descriptor.steps_per_epoch": (lambda n: n >= 1, "at least 1"),
+    "descriptor.layer_sizes": (lambda s: len(s) == 4 and s[0] == FEATURE_DIM and min(s) > 0,
+                               f"four positive sizes, the first {FEATURE_DIM}"),
+}
 
 
 def apply_items(config: PipelineConfig, pairs) -> PipelineConfig:
@@ -135,8 +150,11 @@ def apply_items(config: PipelineConfig, pairs) -> PipelineConfig:
         names = {f.name for f in dataclasses.fields(section)}
         if fname not in names:
             raise ConfigError(f"unknown config key {fname!r} in section {sname!r}")
-        current = getattr(section, fname)
-        setattr(section, fname, _parse(str(raw), current, key))
+        value = _parse(str(raw), getattr(section, fname), key)
+        valid, what = _VALID.get(key, (None, ""))
+        if valid is not None and not valid(value):
+            raise ConfigError(f"{key}: expected {what}, got {str(raw).strip()!r}")
+        setattr(section, fname, value)
     return config
 
 

@@ -18,17 +18,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
-from .config import DescriptorConfig
+from .config import FEATURE_DIM, LAMBDA_PRESETS, DescriptorConfig
 from .errors import InterchangeError, MissingDataError
 from .jsonl import finite_array, one_of, read_json, write_json
 from .materials import MATERIALS, NUM_MATERIALS, multihot
 from .mesh import LabeledMesh
 from .sampling import SurfaceSample, positions_of
 
-FEATURE_DIM = 64
 FEATURE_RADII = (0.25, 0.5, 1.0)
 MARGIN = DescriptorConfig.margin
-LAMBDA_PRESETS = {"multitask": (0.016, 1.0), "classification": (1.0, 0.0)}
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
@@ -43,7 +41,7 @@ _SECOND = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndarray:
-    """Fill and return 64-dim feature vectors for every sample.
+    """64-dim feature vectors of the samples, one row each.
 
     Per radius (0.25/0.5/1.0 of the bounding radius): neighbor density,
     covariance eigen statistics, a 4-bin histogram of normal deviation
@@ -101,9 +99,6 @@ def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndar
     diag = np.linalg.norm(comp_hi - comp_lo, axis=1)
     out[:, g + 11] = diag[comp] / (2.0 * radius)
     out[:, g + 12] = (comp_hi[:, 1] - comp_lo[:, 1])[comp] / (2.0 * radius)
-
-    for i, s in enumerate(samples):
-        s.features = out[i]
     return out
 
 
@@ -445,13 +440,11 @@ def train_descriptor(
     lr: float = DescriptorConfig.lr,
     layer_sizes=DescriptorConfig.layer_sizes,
     margin: float = MARGIN,
-    lambdas: tuple[float, float] | None = None,
 ) -> tuple[DescriptorNet, list[dict[str, float]]]:
     """Siamese training with adaptive-moment updates; deterministic per seed.
 
     ``variant`` selects the loss mix: multitask (0.016 class / 1.0
-    contrastive) or classification (1.0 / 0.0); ``lambdas`` overrides the
-    preset. In the multitask mix the classification head's gradients are
+    contrastive) or classification (1.0 / 0.0). In the multitask mix the classification head's gradients are
     rescaled by 1/lambda_class, mirroring a per-layer learning-rate
     multiplier. Returns the net and a per-epoch trace of loss parts.
     """
@@ -461,7 +454,7 @@ def train_descriptor(
         raise MissingDataError("no training samples")
     if variant not in LAMBDA_PRESETS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(LAMBDA_PRESETS)}")
-    lambda_class, lambda_contr = LAMBDA_PRESETS[variant] if lambdas is None else lambdas
+    lambda_class, lambda_contr = LAMBDA_PRESETS[variant]
     head_scale = 1.0 / lambda_class if variant == "multitask" and lambda_class > 0 else 1.0
 
     net = DescriptorNet(layer_sizes=layer_sizes, n_classes=labels.shape[1], seed=seed)

@@ -28,8 +28,7 @@ _VISIBILITY_ROUNDS = 8
 class SurfaceSample:
     """A point on a mesh face.
 
-    ``features`` stays None until the descriptor stage fills it; ``visible``
-    is unknown (True) until the visibility filter runs.
+    ``visible`` is unknown (True) until the visibility filter runs.
     """
 
     position: np.ndarray
@@ -38,7 +37,6 @@ class SurfaceSample:
     normal: np.ndarray
     labels: MaterialLabelSet = field(default_factory=lambda: EMPTY_LABELS)
     visible: bool = True
-    features: np.ndarray | None = None
 
 
 def positions_of(samples: list[SurfaceSample]) -> np.ndarray:

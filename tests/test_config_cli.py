@@ -25,13 +25,13 @@ def test_apply_items_parses_types():
         ("run.seed", "7"),
         ("sampling.n_points", " 99 "),
         ("crf.lr", "0.5"),
-        ("descriptor.layer_sizes", "2,4"),
+        ("descriptor.layer_sizes", "64,16,8,4"),
         ("descriptor.variant", "classification"),
     ])
     assert cfg.run.seed == 7
     assert cfg.sampling.n_points == 99
     assert cfg.crf.lr == 0.5
-    assert cfg.descriptor.layer_sizes == (2, 4)
+    assert cfg.descriptor.layer_sizes == (64, 16, 8, 4)
     assert cfg.descriptor.variant == "classification"
 
 
@@ -41,6 +41,10 @@ def test_apply_items_rejects_bad_keys_and_values():
             apply_items(PipelineConfig(), [(key, "1")])
     with pytest.raises(ConfigError):
         apply_items(PipelineConfig(), [("run.seed", "not-a-number")])
+    # a non-finite float would pass every range test a stage makes
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="sampling.visibility_offset"):
+            apply_items(PipelineConfig(), [("sampling.visibility_offset", raw)])
 
 
 def test_config_file_round_trip(tmp_path):
@@ -48,7 +52,7 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "pipeline.ini"
     save_config(str(path), cfg)
     back = load_config(str(path))
-    # nan lambda fields defeat dataclass equality; canonical items cover them
+    assert back == cfg
     assert back.items() == cfg.items()
     assert back.hash() == cfg.hash()
 
@@ -130,6 +134,35 @@ def test_cli_error_paths(tmp_path):
     # unreadable spec file
     assert cli.main(["synth", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "y")]) == 1
+
+
+@pytest.fixture(scope="module")
+def sampled_shapes(tmp_path_factory):
+    """A directory holding one synthesized shape with its samples."""
+    root = tmp_path_factory.mktemp("data")
+    out = root / "t"
+    assert cli.main(["synth", "--spec", write_spec(root), "--out", str(out)]) == 0
+    assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "30"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("train-desc", ["--set", "descriptor.variant=nonsense"], "descriptor.variant"),
+    ("train-desc", ["--set", "descriptor.layer_sizes=2,4"], "descriptor.layer_sizes"),
+    ("train-desc", ["--set", "descriptor.layer_sizes=64,8,8,4,4"], "descriptor.layer_sizes"),
+    ("train-desc", ["--set", "descriptor.steps_per_epoch=0"], "descriptor.steps_per_epoch"),
+    ("sample", ["--set", "sampling.n_points=0"], "sampling.n_points"),
+    ("sample", ["-n", "0"], "sampling.n_points"),
+    ("geodesic", ["--set", "geodesic.radius_fraction=-1"], "geodesic.radius_fraction"),
+])
+def test_cli_rejects_values_a_stage_cannot_run_with(sampled_shapes, caplog, command, argv, key):
+    where = ["--data", str(sampled_shapes)] if command == "train-desc" else ["--shape", str(sampled_shapes / "t")]
+    caplog.clear()
+    assert cli.main([command, *where, *argv, "--out", str(sampled_shapes / "result")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(key) and "\n" not in errors[0]
+    assert "Traceback" not in caplog.text
+    assert not (sampled_shapes / "result").exists()
 
 
 def test_cli_sample_then_infer_smoke(tmp_path):
