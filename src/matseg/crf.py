@@ -319,19 +319,20 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
 
     Beliefs start at the unaries and form one (F, M) array. Each sweep
     computes fresh beliefs from the current ones with one sparse product
-    and steps half way toward them. The free energy's gradient is
+    and steps toward them, half way at first. The free energy's gradient is
     logit(q) - logit(fresh), so ``fresh - q`` always descends: a material
-    whose half step raises its free energy by more than rounding halves
-    its step until it does not, at most _MAX_HALVINGS times, and the
-    halving materials are re-scored together in one product. The product
-    of the accepted beliefs serves the next sweep. A material stops on its
-    own once the half step would change no belief by ``tol`` or more, or
-    after ``max_iter`` sweeps, and stays frozen: only moving materials
-    enter the product, so each gets the same bits as on its own.
-    ``sweeps`` is the largest per-material count; ``converged`` holds only
-    if every material converged (non-convergence is reported, not raised).
-    The free-energy trace sums the per-material free energies, a stopped
-    material held at its final value.
+    whose step raises its free energy by more than rounding halves the step
+    until it does not, at most _MAX_HALVINGS times per sweep, the halving
+    materials re-scored together in one product; after a sweep without
+    halving it tries twice its step, up to a half. The product of the
+    accepted beliefs serves the next sweep. A material stops on its own
+    once the half step would change no belief by ``tol`` or more, or after
+    ``max_iter`` sweeps, and stays frozen: only moving materials enter the
+    product, so each gets the same bits as on its own. ``sweeps`` is the
+    largest per-material count; ``converged`` holds only if every material
+    converged (non-convergence is reported, not raised). The free-energy
+    trace sums the per-material free energies, a stopped material held at
+    its final value.
     """
     coupling = graph._coupling
     coef, offset, const = _field_terms(graph)
@@ -342,6 +343,8 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
     out = np.empty_like(q)
     sweeps = np.zeros(graph.n_materials, dtype=np.int64)
     converged = np.zeros(graph.n_materials, dtype=bool)
+    step = np.full(graph.n_materials, 0.5)
+    short = False  # whether some moving material steps less than half way
     cols = np.arange(graph.n_materials)
     trace = [float(held.sum())]
     while True:
@@ -357,10 +360,16 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
         fresh = expit(offset - g)
         new = np.clip(0.5 * q + 0.5 * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
         delta = np.abs(new - q).max(axis=0, initial=0.0)
+        if short:
+            s = step[cols]
+            new = np.clip((1.0 - s) * q + s * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
         g_new = coupling.apply(coef, new)
         e_new = _energies(new, g_new, offset, const)
-        if (e_new > energy).any():
-            _backtrack(coupling, coef, offset, const, q, fresh, energy, new, g_new, e_new)
+        if short or (e_new > energy).any():
+            s = step[cols]
+            halved = _backtrack(coupling, coef, offset, const, q, fresh, energy, s, new, g_new, e_new)
+            step[cols] = np.where(halved, s, np.minimum(0.5, 2.0 * s))
+            short = bool((step[cols] < 0.5).any())
         q, g, energy = new, g_new, e_new
         sweeps[cols] += 1
         converged[cols] = delta < tol
@@ -370,21 +379,25 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
     return Marginals(q_out, bool(converged.all()), int(sweeps.max(initial=0)), trace)
 
 
-def _backtrack(coupling, coef, offset, const, q, fresh, energy, new, g_new, e_new) -> None:
+def _backtrack(coupling, coef, offset, const, q, fresh, energy, step, new, g_new, e_new) -> np.ndarray:
     """Halve the step of every material whose candidate beliefs ``new`` raise
     its free energy above ``energy`` by more than rounding, until none does
     or _MAX_HALVINGS times; one product re-scores all of them per halving.
-    Updates ``new``, its product ``g_new`` and energies ``e_new`` in place."""
-    step = 0.5
+    Updates ``step``, ``new``, its product ``g_new`` and the energies
+    ``e_new`` in place, and returns which materials halved."""
+    halved = np.zeros(len(step), dtype=bool)
     for _ in range(_MAX_HALVINGS):
         up = np.flatnonzero(e_new - energy > _ROUNDING * np.abs(energy))
         if not len(up):
-            return
-        step *= 0.5
-        cand = np.clip((1.0 - step) * q[:, up] + step * fresh[:, up], PROB_CLAMP, 1.0 - PROB_CLAMP)
+            break
+        halved[up] = True
+        step[up] *= 0.5
+        s = step[up]
+        cand = np.clip((1.0 - s) * q[:, up] + s * fresh[:, up], PROB_CLAMP, 1.0 - PROB_CLAMP)
         g_up = coupling.apply(coef[:, up], cand)
         new[:, up], g_new[:, up] = cand, g_up
         e_new[up] = _energies(cand, g_up, offset[:, up], const[up])
+    return halved
 
 
 def free_energy(graph: CrfGraph, q: np.ndarray) -> float:

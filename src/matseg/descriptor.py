@@ -444,9 +444,10 @@ def train_descriptor(
     """Siamese training with adaptive-moment updates; deterministic per seed.
 
     ``variant`` selects the loss mix: multitask (0.016 class / 1.0
-    contrastive) or classification (1.0 / 0.0). In the multitask mix the classification head's gradients are
-    rescaled by 1/lambda_class, mirroring a per-layer learning-rate
-    multiplier. Returns the net and a per-epoch trace of loss parts.
+    contrastive) or classification (1.0 / 0.0). In the multitask mix the
+    classification head's gradients are rescaled by 1/lambda_class,
+    mirroring a per-layer learning-rate multiplier. Returns the net and a
+    per-epoch trace of loss parts.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
