@@ -358,7 +358,7 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
         # expit is overflow-safe; the clip keeps saturated beliefs off exact
         # 0/1 so the entropy term stays finite
         fresh = expit(offset - g)
-        new = np.clip(0.5 * q + 0.5 * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        new = np.clip(0.5 * (q + fresh), PROB_CLAMP, 1.0 - PROB_CLAMP)
         delta = np.abs(new - q).max(axis=0, initial=0.0)
         if short:
             s = step[cols]
