@@ -34,7 +34,7 @@ from matseg.errors import (
     MissingUnariesError,
     OracleSizeError,
 )
-from matseg.materials import MATERIALS
+from matseg.materials import MATERIALS, multihot
 from matseg.mesh import attach_labels, compute_adjacency
 
 FAMILIES = ("adj", "dist", "sym")
@@ -529,3 +529,15 @@ def test_face_predictions_round_trip(tmp_path):
     assert np.array_equal(top1, pred.top1)
     assert sets == pred.label_sets
     assert np.array_equal(q_back, q)
+
+
+def test_face_label_matrix(cube):
+    # per-face truth, through each face's component, as the CLI builds it
+    mesh = attach_labels(cube, {"top": ["glass"], "rest": ["metal", "plastic"]})
+    mat = multihot(mesh.labels)[mesh.face_component].T
+    top = mesh.component_faces("top")
+    rest = mesh.component_faces("rest")
+    glass = MATERIALS.index("glass")
+    assert np.all(mat[glass, top] == 1.0)
+    assert np.all(mat[[MATERIALS.index("metal"), MATERIALS.index("plastic")]][:, rest] == 1.0)
+    assert mat.sum() == len(top) + 2 * len(rest)

@@ -13,7 +13,7 @@ from matseg.evaluation import (
     precision_at_k,
     top1_accuracy,
 )
-from matseg.materials import MATERIALS
+from matseg.materials import MATERIALS, MaterialLabelSet, multihot as encode_labels
 
 
 def multihot(*rows):
@@ -179,6 +179,13 @@ def test_metrics_match_reference_implementations():
         assert np.array_equal(t1[~np.isnan(t1)], rt1[~np.isnan(rt1)]) and tm == rtm
 
         assert np.array_equal(confusion_matrix(preds, ql), ref_confusion(preds, ql))
+
+
+def test_labels_to_multihot():
+    rows = [MaterialLabelSet(["wood"]), MaterialLabelSet(["metal", "glass"]),
+            MaterialLabelSet()]
+    mat = encode_labels(rows)
+    assert np.array_equal(mat, multihot((0,), (2, 3), ()))
 
 
 def test_report_round_trip(tmp_path):
