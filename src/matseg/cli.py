@@ -34,7 +34,7 @@ from .errors import ConfigError, InterchangeError, MatsegError, UnknownComponent
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
 from .jsonl import read_jsonl, write_jsonl
-from .materials import MATERIALS, material_indices, multihot
+from .materials import MaterialLabelSet, multihot
 from .mesh import attach_labels, compute_adjacency, load_labels, load_obj, save_labels, save_obj
 from .sampling import (
     load_samples,
@@ -125,9 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _shape_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--shape", help="shape directory (mesh.obj and friends)")
-    g.add_argument("--mesh", help="explicit mesh OBJ path")
+    p.add_argument("--shape", required=True, help="shape directory (mesh.obj and friends)")
 
 
 def _effective_config(args) -> PipelineConfig:
@@ -145,22 +143,10 @@ def _effective_config(args) -> PipelineConfig:
     return apply_items(config, pairs)
 
 
-def _shape_dir(args) -> str:
-    if args.shape:
-        return args.shape
-    return os.path.dirname(os.path.abspath(args.mesh))
-
-
-def _mesh_path(args) -> str:
-    if args.mesh:
-        return args.mesh
-    return os.path.join(args.shape, MESH_FILE)
-
-
-def _load_shape(mesh_path: str, with_labels: bool = True):
-    """The mesh, with the labels file beside it attached when asked and present."""
-    mesh = load_obj(mesh_path)
-    labels_path = os.path.join(os.path.dirname(mesh_path), LABELS_FILE)
+def _load_shape(d: str, with_labels: bool = True):
+    """A shape directory's mesh, with its labels file attached when asked and present."""
+    mesh = load_obj(os.path.join(d, MESH_FILE))
+    labels_path = os.path.join(d, LABELS_FILE)
     if with_labels and os.path.exists(labels_path):
         doc = load_labels(labels_path)
         try:
@@ -184,18 +170,14 @@ def write_face_truth(path: str, mesh) -> None:
                        for f in range(mesh.n_faces)))
 
 
-def read_face_truth(path: str, materials=MATERIALS) -> np.ndarray:
+def read_face_truth(path: str) -> np.ndarray:
     """Read truth lines back as a (faces, materials) 0/1 array in face order.
 
     Faces must run exactly over 0..n-1 and every label must be one of
-    ``materials``, else InterchangeError names the file (and the line).
+    MATERIALS, else InterchangeError names the file (and the line).
     """
-    fields = {"face": int, "labels": (list, lambda names: material_indices(names, materials))}
-    rows = list(read_jsonl(path, fields, index="face"))
-    truth = np.zeros((len(rows), len(materials)))
-    for i, rec in enumerate(rows):
-        truth[i, list(rec["labels"])] = 1.0
-    return truth
+    fields = {"face": int, "labels": (list, MaterialLabelSet)}
+    return multihot([rec["labels"] for rec in read_jsonl(path, fields, index="face")])
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
@@ -217,26 +199,25 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_sample(args, config: PipelineConfig) -> int:
-    mesh_path = _mesh_path(args)
-    mesh = _load_shape(mesh_path)
+    mesh = _load_shape(args.shape)
     cfg = config.sampling
     n, k = cfg.n_points, cfg.keep
     samples = sample_surface_points(mesh, n, seed=config.run.seed, relax_iterations=cfg.relax_iterations)
     visible = visibility_filter(mesh, samples, n_rays=cfg.visibility_rays, offset=cfg.visibility_offset)
     if not visible:
         raise MatsegError(
-            f"{mesh_path}: none of {n} drawn samples is visible "
+            f"{os.path.join(args.shape, MESH_FILE)}: none of {n} drawn samples is visible "
             f"({cfg.visibility_rays} rays per sample)"
         )
     kept = subsample_even(visible, min(k, len(visible)), seed=config.run.seed)
-    out = _out_path(args, _shape_dir(args), SAMPLES_FILE)
+    out = _out_path(args, args.shape, SAMPLES_FILE)
     save_samples(out, kept)
     log.info("sample: %d drawn, %d visible, %d kept -> %s", n, len(visible), len(kept), out)
     return 0
 
 
 def _cmd_symmetry(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(_mesh_path(args), with_labels=False)
+    mesh = _load_shape(args.shape, with_labels=False)
     cfg = config.symmetry
     syms = detect_symmetries(
         mesh,
@@ -246,7 +227,7 @@ def _cmd_symmetry(args, config: PipelineConfig) -> int:
         max_iter=cfg.max_iter,
     )
     pairs = symmetry_pairs(mesh, syms, residual_cutoff=cfg.residual_cutoff)
-    out_dir = args.out or _shape_dir(args)
+    out_dir = args.out or args.shape
     os.makedirs(out_dir, exist_ok=True)
     save_symmetries(os.path.join(out_dir, SYMMETRIES_FILE), syms)
     save_symmetry_pairs(os.path.join(out_dir, SYMMETRY_PAIRS_FILE), pairs)
@@ -255,7 +236,7 @@ def _cmd_symmetry(args, config: PipelineConfig) -> int:
 
 
 def _cmd_geodesic(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(_mesh_path(args), with_labels=False)
+    mesh = _load_shape(args.shape, with_labels=False)
     adjacency = compute_adjacency(mesh)
     pairs = geodesic_pairs(
         mesh,
@@ -264,7 +245,7 @@ def _cmd_geodesic(args, config: PipelineConfig) -> int:
         cap=config.geodesic.cap,
         seed=config.run.seed,
     )
-    out = _out_path(args, _shape_dir(args), GEODESIC_FILE)
+    out = _out_path(args, args.shape, GEODESIC_FILE)
     save_distance_pairs(out, pairs)
     log.info("geodesic: %d pairs -> %s", len(pairs), out)
     return 0
@@ -285,7 +266,7 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
     cfg = config.descriptor
     feats, labels = [], []
     for d in _shape_dirs(args.data, SAMPLES_FILE):
-        mesh = _load_shape(os.path.join(d, MESH_FILE))
+        mesh = _load_shape(d)
         samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
         feats.append(extract_features(mesh, samples))
         labels.append(label_matrix(samples))
@@ -317,8 +298,8 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
-    mesh = _load_shape(_mesh_path(args), with_labels=False)
-    d = _shape_dir(args)
+    d = args.shape
+    mesh = _load_shape(d, with_labels=False)
     samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
     net = DescriptorNet.load(args.net)
     probs, _ = predict_probs(net, extract_features(mesh, samples))
@@ -329,7 +310,7 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
 
 
 def _build_shape_graph(d: str, weights=None, with_truth=False):
-    mesh = _load_shape(os.path.join(d, MESH_FILE))
+    mesh = _load_shape(d)
     samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
     probs = load_sample_probs(os.path.join(d, PROBS_FILE))
     geo_path = os.path.join(d, GEODESIC_FILE)
@@ -371,7 +352,7 @@ def _cmd_train_crf(args, config: PipelineConfig) -> int:
 def _cmd_infer(args, config: PipelineConfig) -> int:
     cfg = config.crf
     weights = CrfWeights.load(args.weights) if args.weights else None
-    d = _shape_dir(args)
+    d = args.shape
     graph = _build_shape_graph(d, weights=weights)
     marginals = mean_field_infer(graph, max_iter=cfg.infer_iter, tol=cfg.infer_tol)
     predictions = predict_labels(marginals, threshold=cfg.label_threshold)
@@ -387,7 +368,7 @@ def _cmd_infer(args, config: PipelineConfig) -> int:
 def _cmd_eval(args, config: PipelineConfig) -> int:
     top1, _, _ = load_face_predictions(args.pred)
     truth = read_face_truth(args.truth)
-    report = EvalReport(materials=tuple(MATERIALS))
+    report = EvalReport()
     report.top1 = top1_accuracy(top1, truth)
     report.confusion = confusion_matrix(top1, truth)
     out = args.out or REPORT_FILE

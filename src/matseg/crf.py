@@ -201,7 +201,6 @@ def build_crf(
     dist_pairs: list[DistancePair] | None = None,
     sym_pairs: list[SymmetryPair] | None = None,
     weights: CrfWeights | None = None,
-    materials=MATERIALS,
     truth: np.ndarray | None = None,
 ) -> CrfGraph:
     """Assemble the graph: nearest-sample unaries plus three edge families.
@@ -214,10 +213,10 @@ def build_crf(
     probs = np.asarray(sample_probs, dtype=np.float64)
     if len(positions) == 0:
         raise MissingUnariesError("no unary samples provided")
-    if probs.shape != (len(positions), len(materials)):
+    if probs.shape != (len(positions), NUM_MATERIALS):
         raise MissingUnariesError(
             f"probabilities of shape {probs.shape} for {len(positions)} samples "
-            f"and {len(materials)} materials"
+            f"and {NUM_MATERIALS} materials"
         )
     _, nearest = cKDTree(positions).query(mesh.face_centroids())
     unary = probs[nearest].T
@@ -235,9 +234,9 @@ def build_crf(
         coeffs["sym"] = np.array([p.s for p in sym_pairs]) ** 2
 
     if weights is None:
-        weights = CrfWeights.ones(materials)
+        weights = CrfWeights.ones()
     return CrfGraph(
-        materials=tuple(materials),
+        materials=MATERIALS,
         n_faces=mesh.n_faces,
         unary=unary,
         edges=edges,
@@ -580,65 +579,63 @@ def train_crf(
     return weights, trace
 
 
-def save_sample_probs(path: str, probs: np.ndarray, materials=MATERIALS) -> None:
+def save_sample_probs(path: str, probs: np.ndarray) -> None:
     """JSON-lines {sample_index, probs: {material: p}} per sample."""
     write_jsonl(path, (
-        {"sample_index": i, "probs": {name: float(p) for name, p in zip(materials, row)}}
+        {"sample_index": i, "probs": {name: float(p) for name, p in zip(MATERIALS, row)}}
         for i, row in enumerate(probs)
     ))
 
 
-def _per_material(values: dict, materials) -> list:
+def _per_material(values: dict) -> list:
     """The values of a {material: number in [0, 1]} record, in material order."""
-    row = [values.get(name) for name in materials]
+    row = [values.get(name) for name in MATERIALS]
     if len(values) != len(row) or None in row:
-        raise ValueError(f"expected a value for each of {list(materials)}, got {list(values)}")
+        raise ValueError(f"expected a value for each of {list(MATERIALS)}, got {list(values)}")
     return list(map(unit, row))
 
 
-def load_sample_probs(path: str, materials=MATERIALS) -> np.ndarray:
+def load_sample_probs(path: str) -> np.ndarray:
     """Read sample probability lines back as an (n, materials) array.
 
     Sample indices must be exactly 0..n-1, and every material needs a
     probability that is a finite number in [0, 1]; anything else raises
     InterchangeError naming the file (and the line, where there is one).
     """
-    fields = {"sample_index": int, "probs": (dict, lambda probs: _per_material(probs, materials))}
+    fields = {"sample_index": int, "probs": (dict, _per_material)}
     rows = [rec["probs"] for rec in read_jsonl(path, fields, index="sample_index")]
     if not rows:
         raise MissingUnariesError(f"no unary records in {path}")
     return np.array(rows, dtype=np.float64)
 
 
-def save_face_predictions(
-    path: str, marginals: Marginals, predictions: PredictedLabels, materials=MATERIALS
-) -> None:
+def save_face_predictions(path: str, marginals: Marginals, predictions: PredictedLabels) -> None:
     """JSON-lines {face, top1, label_set, marginals} per face."""
     q = marginals.q
     write_jsonl(path, (
         {
             "face": f,
-            "top1": materials[int(predictions.top1[f])],
-            "label_set": [materials[m] for m in predictions.label_sets[f]],
-            "marginals": {name: float(q[k, f]) for k, name in enumerate(materials)},
+            "top1": MATERIALS[int(predictions.top1[f])],
+            "label_set": [MATERIALS[m] for m in predictions.label_sets[f]],
+            "marginals": {name: float(q[k, f]) for k, name in enumerate(MATERIALS)},
         }
         for f in range(q.shape[1])
     ))
 
 
-def load_face_predictions(path: str, materials=MATERIALS):
+def load_face_predictions(path: str):
     """Read prediction lines back as (top1 indices, label-set index tuples, q).
 
-    Faces must run exactly over 0..n-1, names must be ``materials`` and
+    Faces must run exactly over 0..n-1, names must be MATERIALS and
     marginals in [0, 1], else InterchangeError names the file (and the line).
     """
     fields = {
         "face": int,
-        "top1": (str, lambda name: material_indices([name], materials)[0]),
-        "label_set": (list, lambda names: material_indices(names, materials)),
-        "marginals": (dict, lambda q: _per_material(q, materials)),
+        "top1": (str, lambda name: material_indices([name])[0]),
+        "label_set": (list, material_indices),
+        "marginals": (dict, _per_material),
     }
     rows = list(read_jsonl(path, fields, index="face"))
     top1 = np.array([rec["top1"] for rec in rows], dtype=np.int64)
     q = np.array([rec["marginals"] for rec in rows], dtype=np.float64)
-    return top1, [rec["label_set"] for rec in rows], q.reshape(len(rows), len(materials)).T
+    return top1, [rec["label_set"] for rec in rows], q.reshape(len(rows), NUM_MATERIALS).T

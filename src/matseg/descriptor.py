@@ -21,12 +21,11 @@ from .bvh import TriangleBvh
 from .config import FEATURE_DIM, LAMBDA_PRESETS, DescriptorConfig
 from .errors import InterchangeError, MissingDataError
 from .jsonl import finite_array, one_of, read_json, write_json
-from .materials import MATERIALS, NUM_MATERIALS, multihot
+from .materials import NUM_MATERIALS, multihot
 from .mesh import LabeledMesh
 from .sampling import SurfaceSample, positions_of
 
 FEATURE_RADII = (0.25, 0.5, 1.0)
-MARGIN = DescriptorConfig.margin
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
@@ -175,9 +174,9 @@ def _thickness(bvh, pos, normals, radius) -> tuple[np.ndarray, np.ndarray]:
     return depth[0] / cap, depth[1:].sum(axis=0) / (_THICKNESS_CONE * cap)
 
 
-def label_matrix(samples: list[SurfaceSample], materials=MATERIALS) -> np.ndarray:
+def label_matrix(samples: list[SurfaceSample]) -> np.ndarray:
     """Multi-hot (S, M) ground-truth matrix from sample label sets."""
-    return multihot([s.labels for s in samples], materials)
+    return multihot([s.labels for s in samples])
 
 
 class DescriptorNet:
@@ -368,7 +367,7 @@ def multitask_loss(
     batch: PairBatch,
     lambda_class: float,
     lambda_contr: float,
-    margin: float = MARGIN,
+    margin: float = DescriptorConfig.margin,
 ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
     """Loss and analytic parameter gradients for one Siamese batch.
 
@@ -439,7 +438,7 @@ def train_descriptor(
     steps_per_epoch: int = DescriptorConfig.steps_per_epoch,
     lr: float = DescriptorConfig.lr,
     layer_sizes=DescriptorConfig.layer_sizes,
-    margin: float = MARGIN,
+    margin: float = DescriptorConfig.margin,
 ) -> tuple[DescriptorNet, list[dict[str, float]]]:
     """Siamese training with adaptive-moment updates; deterministic per seed.
 

@@ -134,7 +134,6 @@ def confusion_matrix(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
 class EvalReport:
     """Precision@k tables, top-1 accuracies, and the confusion matrix."""
 
-    materials: tuple[str, ...]
     precision: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict)
     top1: tuple[np.ndarray, float] | None = None
     confusion: np.ndarray | None = None
@@ -142,9 +141,9 @@ class EvalReport:
     def to_obj(self) -> dict:
         def table(per_class, mean):  # NaN (no member of a class) as null
             clean = [None if np.isnan(x) else float(x) for x in (*per_class, mean)]
-            return {"per_class": dict(zip(self.materials, clean[:-1])), "mean": clean[-1]}
+            return {"per_class": dict(zip(MATERIALS, clean[:-1])), "mean": clean[-1]}
 
-        obj: dict = {"materials": list(self.materials)}
+        obj: dict = {"materials": list(MATERIALS)}
         obj["precision_at_k"] = {str(k): table(*v) for k, v in sorted(self.precision.items())}
         if self.top1 is not None:
             obj["top1_accuracy"] = table(*self.top1)
@@ -162,13 +161,13 @@ class EvalReport:
 
         tables = {}
         if self.precision:
-            tables["precision"] = [["k", *self.materials, "mean"]] + [
+            tables["precision"] = [["k", *MATERIALS, "mean"]] + [
                 [k, *cells(*per_class, mean)] for k, (per_class, mean) in sorted(self.precision.items())]
         if self.top1 is not None:
-            tables["top1"] = [[*self.materials, "mean"], cells(*self.top1[0], self.top1[1])]
+            tables["top1"] = [[*MATERIALS, "mean"], cells(*self.top1[0], self.top1[1])]
         if self.confusion is not None:
-            tables["confusion"] = [["truth\\pred", *self.materials]] + [
-                [m, *cells(*row)] for m, row in zip(self.materials, self.confusion)]
+            tables["confusion"] = [["truth\\pred", *MATERIALS]] + [
+                [m, *cells(*row)] for m, row in zip(MATERIALS, self.confusion)]
         for name, rows in tables.items():
             with open(f"{basepath}_{name}.csv", "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(rows)
@@ -181,11 +180,10 @@ def build_report(
     pred_truths: np.ndarray | None,
     ks=DEFAULT_KS,
     seed: int = 0,
-    materials=MATERIALS,
 ) -> EvalReport:
     """Assemble the full report; retrieval treats the points as both queries
     and database (class-balanced)."""
-    report = EvalReport(materials=tuple(materials))
+    report = EvalReport()
     for k in ks:
         report.precision[int(k)] = precision_at_k(
             descriptors, desc_truths, descriptors, desc_truths, int(k), seed=seed

@@ -53,10 +53,9 @@ def dual_graph(mesh: LabeledMesh, adjacency: FaceAdjacency) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def estimate_diameter(mesh: LabeledMesh, graph: csr_matrix, n_seeds: int = _DIAMETER_SEEDS) -> float:
+def estimate_diameter(mesh: LabeledMesh, graph: csr_matrix) -> float:
     """Largest finite Dijkstra distance from a small farthest-point seed set."""
-    n = graph.shape[0]
-    seeds = farthest_points(mesh.face_centroids(), min(n_seeds, n), 0)
+    seeds = farthest_points(mesh.face_centroids(), min(_DIAMETER_SEEDS, graph.shape[0]), 0)
     dist = dijkstra(graph, directed=False, indices=seeds)
     finite = dist[np.isfinite(dist)]
     if finite.size == 0:

@@ -15,12 +15,12 @@ MATERIAL_INDEX: dict[str, int] = {name: i for i, name in enumerate(MATERIALS)}
 NUM_MATERIALS = len(MATERIALS)
 
 
-def material_indices(names, materials=MATERIALS) -> tuple[int, ...]:
-    """Positions of ``names`` in ``materials``; any other name raises ValueError."""
+def material_indices(names) -> tuple[int, ...]:
+    """Positions of ``names`` in MATERIALS; any other name raises ValueError."""
     for name in names:
-        if name not in materials:
+        if name not in MATERIAL_INDEX:
             raise ValueError(f"unknown material {name!r}")
-    return tuple(materials.index(name) for name in names)
+    return tuple(MATERIAL_INDEX[name] for name in names)
 
 
 def multihot(label_sets, materials=MATERIALS) -> np.ndarray:
@@ -89,9 +89,6 @@ class MaterialLabelSet:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(NUM_MATERIALS) if self._mask >> i & 1)
 
 
 EMPTY_LABELS = MaterialLabelSet()

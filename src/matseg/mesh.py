@@ -20,6 +20,19 @@ from .materials import MaterialLabelSet, label_map
 UPRIGHT_AXIS = np.array([0.0, 1.0, 0.0])
 
 
+def y_rotation(angle: float) -> np.ndarray:
+    """Rotation by ``angle`` about the upright axis, right-handed."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def bounding_sphere(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center of the axis-aligned bounding box, and the radius of the sphere
+    about it that contains every vertex."""
+    center = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    return center, float(np.linalg.norm(vertices - center, axis=1).max())
+
+
 @dataclass(frozen=True)
 class LabeledMesh:
     """Triangle mesh with named face components and optional per-component labels.
@@ -100,9 +113,7 @@ def build_mesh(
     cross_norm = np.linalg.norm(cross, axis=1)
     areas = 0.5 * cross_norm
 
-    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
-    center = 0.5 * (lo + hi)
-    radius = float(np.linalg.norm(vertices - center, axis=1).max())
+    center, radius = bounding_sphere(vertices)
     scale = max(radius, 1e-300)
 
     degenerate = cross_norm <= 1e-12 * scale * scale

@@ -235,13 +235,13 @@ def save_samples(path: str, samples: list[SurfaceSample]) -> None:
     ))
 
 
-def load_samples(path: str, mesh: LabeledMesh | None = None) -> list[SurfaceSample]:
+def load_samples(path: str, mesh: LabeledMesh) -> list[SurfaceSample]:
     """Read samples written by save_samples; normals recomputed from the mesh.
 
-    Given a mesh, every sample's face must be one of the mesh's faces.
+    Every sample's face must be one of the mesh's faces.
     """
     def face(f: int) -> int:
-        if mesh is not None and not 0 <= f < mesh.n_faces:
+        if not 0 <= f < mesh.n_faces:
             raise ValueError(f"face {f} is not one of the mesh's {mesh.n_faces} faces")
         return f
 
@@ -250,7 +250,6 @@ def load_samples(path: str, mesh: LabeledMesh | None = None) -> list[SurfaceSamp
               "labels": (list, MaterialLabelSet), "visible": bool}
     return [
         SurfaceSample(rec["position"], rec["face"], rec["barycentric"],
-                      mesh.face_normals[rec["face"]].copy() if mesh is not None else np.zeros(3),
-                      rec["labels"], rec["visible"])
+                      mesh.face_normals[rec["face"]].copy(), rec["labels"], rec["visible"])
         for rec in read_jsonl(path, fields)
     ]

@@ -33,7 +33,7 @@ from scipy.spatial.transform import Rotation
 from .config import SymmetryConfig
 from .errors import DegenerateGeometryError
 from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
-from .mesh import UPRIGHT_AXIS, LabeledMesh
+from .mesh import UPRIGHT_AXIS, LabeledMesh, y_rotation
 from .sampling import draw_surface
 
 _N_INIT_ROTATIONS = 8
@@ -94,31 +94,25 @@ class RigidTransform:
         return RigidTransform(rt, -rt @ self.translation)
 
     def angle_axis(self) -> tuple[float, np.ndarray]:
-        """Rotation angle in [0, pi] and unit axis.
+        """Rotation angle in [0, pi] and unit axis; see angle_axes."""
+        angles, axes = angle_axes(self.rotation[None])
+        return float(angles[0]), axes[0]
 
-        Reflections are read through the proper rotation -R, so a pure
-        mirror reports angle pi about the mirror normal. The axis sign is
-        arbitrary at angle pi.
-        """
-        r = self.rotation if self.det > 0 else -self.rotation
-        cos = (np.trace(r) - 1.0) / 2.0
-        angle = float(np.arccos(np.clip(cos, -1.0, 1.0)))
-        if angle < 1e-9:
-            return 0.0, np.array(UPRIGHT_AXIS, dtype=np.float64)
-        if angle > np.pi - 1e-6:
-            # r ~ 2 aa^T - I: read the axis off the stablest column
-            b = (r + np.eye(3)) / 2.0
-            k = int(np.argmax(np.diag(b)))
-            axis = b[:, k]
-            norm = float(np.linalg.norm(axis))
-            if norm < 1e-12:
-                return angle, np.array(UPRIGHT_AXIS, dtype=np.float64)
-            return angle, axis / norm
-        v = np.array(
-            [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-        )
-        axis = v / (2.0 * np.sin(angle))
-        return angle, axis / float(np.linalg.norm(axis))
+
+def angle_axes(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation angles in [0, pi] and unit axes of a stack of orthogonal
+    3x3 matrices.
+
+    Reflections are read through the proper rotation -R, so a pure mirror
+    reports angle pi about the mirror normal. The axis sign is arbitrary at
+    angle pi; below 1e-9 the angle reads 0 about the upright axis.
+    """
+    proper = rotations * np.sign(np.linalg.det(rotations))[:, None, None]
+    rotvec = Rotation.from_matrix(proper).as_rotvec()
+    angles = np.linalg.norm(rotvec, axis=1)
+    still = angles < 1e-9
+    axes = np.where(still[:, None], UPRIGHT_AXIS, rotvec / np.where(still, 1.0, angles)[:, None])
+    return np.where(still, 0.0, angles), axes
 
 
 @dataclass(frozen=True)
@@ -177,15 +171,15 @@ def _kabsch_stack(centered, centroid, dst, det_sign):
     return r, dc - np.einsum("skj,sj->sk", r, centroid)
 
 
-def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, abandon=None):
+def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, abandon):
     """ICP of a stack of starts onto one target cloud.
 
     Start k moves ``sources[k]`` (n points) from ``rotations[k]``,
     ``translations[k]``, and keeps that matrix's determinant sign. Each
     sweep makes one KD query over the active starts and one stacked Kabsch
-    fit. A start stops once its rmsd changes by less than ``tol``; with
-    ``abandon`` set, a start still above it after 6 sweeps cannot reach the
-    acceptance gate and is cut short. Returns the rotations, translations
+    fit. A start stops once its rmsd changes by less than ``tol``; a start
+    still above ``abandon`` after 6 sweeps cannot reach the acceptance gate
+    and is cut short. Returns the rotations, translations
     and rmsds of every start.
     """
     n_starts, n = sources.shape[:2]
@@ -204,7 +198,7 @@ def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, ab
     active = np.arange(n_starts)
     rmsd, idx = sweep(active)
     for it in range(max_iter):
-        if abandon is not None and it >= 6:
+        if it >= 6:
             keep = rmsd[active] <= abandon
             active, idx = active[keep], idx[keep]
         if len(active) == 0:
@@ -277,7 +271,8 @@ def icp_align(
     if init is None:
         init = RigidTransform.identity()
     r, t, rmsd = _icp_stack(
-        src[None], dst, cKDTree(dst), init.rotation[None], init.translation[None], max_iter, tol
+        src[None], dst, cKDTree(dst), init.rotation[None], init.translation[None], max_iter, tol,
+        np.inf,
     )
     return RigidTransform(r[0], t[0]), float(rmsd[0])
 
@@ -301,17 +296,12 @@ def _axis_mirror(axis: int, center: np.ndarray) -> RigidTransform:
     return RigidTransform(r, center - r @ center)
 
 
-def _y_rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def _spins(source: np.ndarray, target: np.ndarray, tree: cKDTree, accept: float) -> bool:
     """Whether a turn of half the start ring's step about the upright axis
     through the component's centroid keeps its cloud on itself under the
     gate."""
     c = target.mean(axis=0)
-    turned = (source - c) @ _y_rotation(np.pi / _N_INIT_ROTATIONS).T + c
+    turned = (source - c) @ y_rotation(np.pi / _N_INIT_ROTATIONS).T + c
     dist = tree.query(turned)[0]
     return bool(np.sqrt(np.mean(dist * dist)) < accept)
 
@@ -400,7 +390,7 @@ def detect_symmetries(
     angles = [2.0 * np.pi * k / _N_INIT_ROTATIONS for k in range(_N_INIT_ROTATIONS)]
     starts = [variant for variant in variants for _ in angles]
     stack = np.stack([variant.apply(sources[anchor]) for variant in starts])
-    r0 = np.stack([_y_rotation(angle) for _ in variants for angle in angles])
+    r0 = np.stack([y_rotation(angle) for _ in variants for angle in angles])
     src_centroids = np.einsum("skj,sj->sk", r0, stack.mean(axis=1))
     candidates: list[tuple[RigidTransform, int, int, float]] = []
     for j in partners[anchor]:
@@ -528,10 +518,7 @@ def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
     # the order of their first candidate.
     dets = np.array([c[0].det for c in candidates])
     trans = np.stack([c[0].translation for c in candidates])
-    angs = np.empty(m)
-    axes = np.empty((m, 3))
-    for k, c in enumerate(candidates):
-        angs[k], axes[k] = c[0].angle_axis()
+    angs, axes = angle_axes(np.stack([c[0].rotation for c in candidates]))
 
     same = dets[:, None] == dets[None, :]
     same &= np.abs(angs[:, None] - angs[None, :]) <= _CLUSTER_ANGLE

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InterchangeError
 from .jsonl import one_of, read_json, write_json
-from .materials import MATERIALS, MaterialLabelSet, label_map, multihot
-from .mesh import LabeledMesh, build_mesh
+from .materials import MaterialLabelSet, label_map, multihot
+from .mesh import LabeledMesh, bounding_sphere, build_mesh, y_rotation
 
 CATEGORIES = ("table", "chair", "cabinet")
 LEG_SHAPES = ("cylinder", "box", "prism")
@@ -194,11 +194,6 @@ def _rot_y_exact(quarter_turns: int) -> np.ndarray:
     return r
 
 
-def _rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-
-
 def _leg_geometry(shape: str, size: float, height: float):
     if shape == "box":
         return _box([-size, 0.0, -size], [size, height, size])
@@ -241,9 +236,7 @@ class _Builder:
     def build(self, jitter: float, seed: int) -> LabeledMesh:
         verts = np.vstack(self.verts)
         if jitter > 0.0:
-            lo, hi = verts.min(axis=0), verts.max(axis=0)
-            center = 0.5 * (lo + hi)
-            radius = float(np.linalg.norm(verts - center, axis=1).max())
+            radius = bounding_sphere(verts)[1]
             rng = np.random.default_rng(seed)
             verts = verts + rng.uniform(-jitter * radius, jitter * radius, size=verts.shape)
         return build_mesh(
@@ -273,7 +266,7 @@ def _table(spec: SynthSpec) -> _Builder:
         if n == 4:
             r = _rot_y_exact(k)
         else:
-            r = _rot_y(2.0 * np.pi * k / n)
+            r = y_rotation(-2.0 * np.pi * k / n)
         b.add(f"leg_{k}", _materials_for(spec, f"leg_{k}"), base @ r.T, leg_f)
     top_v, top_f = _prism(_top_polygon(spec.top_shape, 0.95), 0.85, 1.0, taper=0.88, apex_lift=0.1)
     b.add("top", _materials_for(spec, "top"), top_v, top_f)
@@ -336,7 +329,7 @@ def mirrored_chair_fixture(jitter: float = 0.0, seed: int = 0) -> LabeledMesh:
     back = _box([0.04, 0.5, 0.32], [0.52, 1.05, 0.4])
     leg_v, leg_f = _prism(0.12 * _SCALENE, 0.0, 0.42, taper=0.5, twist=math.radians(30.0))
     front = leg_v + np.array([0.4, 0.0, -0.36])
-    rear = (leg_v @ _rot_y(math.radians(40.0)).T) + np.array([0.4, 0.0, 0.33])
+    rear = (leg_v @ y_rotation(-math.radians(40.0)).T) + np.array([0.4, 0.0, 0.33])
 
     verts_list, faces_list = [], []
     offset = 0
@@ -368,14 +361,9 @@ DEFAULT_CONFUSION = np.array(
 )
 
 
-def uniform_confusion(n: int = len(MATERIALS)) -> np.ndarray:
-    return np.full((n, n), 1.0 / n)
-
-
 def corrupt_unaries(
     truths: np.ndarray,
     noise_rate: float,
-    confusion_bias: np.ndarray | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Simulated classifier probabilities: 0.9 on a chosen label, rest even.
@@ -383,7 +371,7 @@ def corrupt_unaries(
     ``truths`` is an (n, M) 0/1 array or a list of n label sets. With
     probability 1 - noise_rate the chosen label is a true one (uniformly
     among the truth set); otherwise it is drawn from the confusion row of a
-    uniformly chosen true label. Rows sum to 1.
+    uniformly chosen true label (DEFAULT_CONFUSION). Rows sum to 1.
     """
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must lie in [0, 1]")
@@ -391,7 +379,6 @@ def corrupt_unaries(
         truths = multihot(truths)
     truths = np.asarray(truths, dtype=np.float64)
     n, m = truths.shape
-    bias = DEFAULT_CONFUSION if confusion_bias is None else np.asarray(confusion_bias)
     rng = np.random.default_rng(seed)
     rest = 0.1 / (m - 1)
     out = np.full((n, m), rest)
@@ -401,14 +388,14 @@ def corrupt_unaries(
             true_idx = np.arange(m)
         anchor = int(rng.choice(true_idx))
         if rng.random() < noise_rate:
-            hot = int(rng.choice(m, p=bias[anchor]))
+            hot = int(rng.choice(m, p=DEFAULT_CONFUSION[anchor]))
         else:
             hot = anchor
         out[i, hot] = 0.9
     return out
 
 
-def benchmark_suite(jitter: float = 0.0, base_seed: int = 100) -> list[SynthSpec]:
+def benchmark_suite() -> list[SynthSpec]:
     """30 shapes: 12 tables, 12 chairs, 6 cabinets across material mixes."""
     specs = []
     # single-label assignments only: a component whose truth carries two
@@ -428,8 +415,7 @@ def benchmark_suite(jitter: float = 0.0, base_seed: int = 100) -> list[SynthSpec
                 leg_shape=LEG_SHAPES[i % 3],
                 top_shape=TOP_SHAPES[i % 3],
                 materials=table_mats[i % 4],
-                jitter=jitter,
-                seed=base_seed + i,
+                seed=100 + i,
             )
         )
     chair_mats = [
@@ -445,8 +431,7 @@ def benchmark_suite(jitter: float = 0.0, base_seed: int = 100) -> list[SynthSpec
                 legs=4,
                 leg_shape=LEG_SHAPES[i % 2],  # box or cylinder legs
                 materials=chair_mats[i % 4],
-                jitter=jitter,
-                seed=base_seed + 50 + i,
+                seed=150 + i,
             )
         )
     cabinet_mats = [
@@ -459,8 +444,7 @@ def benchmark_suite(jitter: float = 0.0, base_seed: int = 100) -> list[SynthSpec
             SynthSpec(
                 category="cabinet",
                 materials=cabinet_mats[i % 3],
-                jitter=jitter,
-                seed=base_seed + 80 + i,
+                seed=180 + i,
             )
         )
     return specs

@@ -7,11 +7,11 @@ from scipy.spatial import cKDTree
 
 from conftest import dense_shapes
 from matseg.bvh import TriangleBvh
+from matseg.config import DescriptorConfig
 from matseg.descriptor import (
     FEATURE_DIM,
     FEATURE_RADII,
     LAMBDA_PRESETS,
-    MARGIN,
     DescriptorNet,
     PairSampler,
     extract_features,
@@ -52,7 +52,7 @@ def small_shape():
 
 
 def test_margin_constant():
-    assert MARGIN == math.sqrt(0.2) - 0.2
+    assert DescriptorConfig.margin == math.sqrt(0.2) - 0.2
 
 
 def test_lambda_presets():
@@ -278,7 +278,7 @@ def test_contrastive_term_recomputes_from_descriptors():
         if batch.positive[j]:
             want += dist[j] ** 2
         else:
-            want += max(MARGIN - dist[j], 0.0) ** 2
+            want += max(DescriptorConfig.margin - dist[j], 0.0) ** 2
     assert abs(parts["contrastive"] - want) < 1e-9
 
 

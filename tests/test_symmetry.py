@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from matseg.errors import DegenerateGeometryError
-from matseg.mesh import build_mesh
+from matseg.mesh import build_mesh, y_rotation
 from matseg.sampling import draw_surface
 from matseg.symmetry import (
     DetectedSymmetry,
@@ -16,6 +16,7 @@ from matseg.symmetry import (
     _arrangement,
     _icp_stack,
     _refit,
+    angle_axes,
     detect_symmetries,
     icp_align,
     load_symmetries,
@@ -33,10 +34,6 @@ def component_cloud(mesh, comp, n, rng):
     """n area-weighted surface points of a component, and the face of each."""
     faces, _, points = draw_surface(mesh, mesh.component_faces(comp), n, rng)
     return points, faces
-
-def y_rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def four_box_mesh():
@@ -102,6 +99,36 @@ def test_angle_axis_mirror():
     # a mirror is angle pi about its plane normal, read through -R
     assert abs(angle - math.pi) < 1e-9
     assert abs(abs(axis[0]) - 1.0) < 1e-9
+
+
+def test_angle_axis_of_identity_is_upright():
+    angle, axis = RigidTransform.identity().angle_axis()
+    assert angle == 0.0
+    assert axis.tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("gap", [1e-8, 5e-7, 0.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_angle_axis_near_half_turn(gap, sign):
+    # proper turns and their reflections (read through -R) near angle pi,
+    # where the axis sign is arbitrary
+    want = np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25)
+    rot = Rotation.from_rotvec((math.pi - gap) * want).as_matrix()
+    angle, axis = RigidTransform(sign * rot, np.zeros(3)).angle_axis()
+    assert abs(angle - (math.pi - gap)) < 1e-7
+    assert min(np.linalg.norm(axis - want), np.linalg.norm(axis + want)) < 1e-7
+
+
+def test_angle_axes_of_a_stack_match_one_at_a_time():
+    rots = Rotation.random(8, random_state=np.random.default_rng(3)).as_matrix()
+    rots[1] = np.eye(3)
+    rots[2] = Rotation.from_rotvec([0.0, math.pi - 1e-8, 0.0]).as_matrix()
+    rots[::3] *= -1.0  # reflections
+    angles, axes = angle_axes(rots)
+    for r, angle, axis in zip(rots, angles, axes):
+        one_angle, one_axis = RigidTransform(r, np.zeros(3)).angle_axis()
+        assert angle == one_angle
+        assert np.array_equal(axis, one_axis)
 
 
 def test_icp_recovers_known_rotation():

@@ -12,7 +12,6 @@ from matseg.synth import (
     load_spec,
     mirrored_chair_fixture,
     save_spec,
-    uniform_confusion,
 )
 
 
@@ -106,8 +105,6 @@ def test_confusion_tables_are_stochastic():
     assert DEFAULT_CONFUSION.shape == (5, 5)
     assert np.allclose(DEFAULT_CONFUSION.sum(axis=1), 1.0)
     assert np.all(DEFAULT_CONFUSION >= 0)
-    u = uniform_confusion()
-    assert np.allclose(u, 0.2)
 
 
 def test_corrupt_unaries_clean_rows():
