@@ -249,7 +249,8 @@ class DescriptorNet:
     @classmethod
     def load(cls, path: str) -> "DescriptorNet":
         """Read a net written by save; a wrong format, layer sizes or parameter
-        count raises InterchangeError."""
+        count, or a net that does not read FEATURE_DIM features into
+        NUM_MATERIALS classes, raises InterchangeError."""
         fields = {"format": (str, one_of(_NET_FORMAT)), "layer_sizes": list, "n_classes": int,
                   "params": (list, finite_array)}
         doc = read_json(path, fields)
@@ -259,6 +260,10 @@ class DescriptorNet:
         if not fits or len(flat) != sum(a * b + b for a, b in zip(dims, dims[1:])):
             raise InterchangeError(
                 path, f"layer sizes {sizes} and {n_classes} classes do not fit {len(flat)} params")
+        if dims[0] != FEATURE_DIM or n_classes != NUM_MATERIALS:
+            raise InterchangeError(
+                path, f"a net from {dims[0]} features to {n_classes} classes; "
+                f"expected {FEATURE_DIM} features and {NUM_MATERIALS} classes")
         net = cls(sizes, n_classes)
         at = 0
         for name in sorted(net.params):

@@ -337,6 +337,16 @@ def set_key(key, value):
     return damage
 
 
+def resize_net(layer_sizes, n_classes):
+    """Damage: replace the net by a well-formed one of other sizes."""
+    def damage(text):
+        dims = [*layer_sizes, n_classes]
+        params = [0.0] * sum(a * b + b for a, b in zip(dims, dims[1:]))
+        return json.dumps({**json.loads(text), "layer_sizes": list(layer_sizes),
+                           "n_classes": n_classes, "params": params})
+    return damage
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("labels.json", lambda text: '{"labels": {"top": ["sand"]}}', "unknown material 'sand'"),
     ("labels.json", lambda text: text.replace('"labels"', '"lables"'), "expected {labels: dict}"),
@@ -356,6 +366,8 @@ def set_key(key, value):
      "expected 'descriptor-net-v1', got 'descriptor-net-v2'"),
     ("net.json", set_key("params", lambda params: params[:-1]),
      "layer sizes [64, 128, 64, 32] and 5 classes do not fit 18820 params"),
+    ("net.json", resize_net((32, 16, 8, 4), 5), "a net from 32 features to 5 classes"),
+    ("net.json", resize_net((64, 16, 8, 4), 2), "a net from 64 features to 2 classes"),
     ("crf_weights.json", lambda text: text[:len(text) // 2], "invalid JSON"),
     ("crf_weights.json", set_key("scales", {}), "expected an entry for each of ['adj', 'dist', 'sym']"),
     ("crf_weights.json", lambda text: f"[{text}]", "expected {format: str, materials: list,"),

@@ -52,7 +52,7 @@ _SYMMETRIES = [
     DetectedSymmetry(RigidTransform(np.eye(3)[[2, 1, 0]] * [[1], [1], [-1]], [0.0, 0.0, 0.5]),
                      2, 3, 0.0078125, 1),
 ]
-_NET = DescriptorNet(layer_sizes=(3, 2, 2, 2), n_classes=2, seed=4)
+_NET = DescriptorNet(layer_sizes=(64, 2, 2, 2), n_classes=5, seed=4)
 _WEIGHTS = CrfWeights.ones()
 _WEIGHTS.scales["dist"][2] = 1.75
 _WEIGHTS.tables["sym"][1, 0, 1] = _WEIGHTS.tables["sym"][1, 1, 0] = 0.25
