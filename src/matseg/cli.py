@@ -298,12 +298,11 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
-    d = args.shape
-    mesh = _load_shape(d, with_labels=False)
-    samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
+    mesh = _load_shape(args.shape, with_labels=False)
+    samples = load_samples(os.path.join(args.shape, SAMPLES_FILE), mesh)
     net = DescriptorNet.load(args.net)
     probs, _ = predict_probs(net, extract_features(mesh, samples))
-    out = _out_path(args, d, PROBS_FILE)
+    out = _out_path(args, args.shape, PROBS_FILE)
     save_sample_probs(out, probs)
     log.info("predict: %d samples -> %s", len(samples), out)
     return 0
@@ -352,11 +351,10 @@ def _cmd_train_crf(args, config: PipelineConfig) -> int:
 def _cmd_infer(args, config: PipelineConfig) -> int:
     cfg = config.crf
     weights = CrfWeights.load(args.weights) if args.weights else None
-    d = args.shape
-    graph = _build_shape_graph(d, weights=weights)
+    graph = _build_shape_graph(args.shape, weights=weights)
     marginals = mean_field_infer(graph, max_iter=cfg.infer_iter, tol=cfg.infer_tol)
     predictions = predict_labels(marginals, threshold=cfg.label_threshold)
-    out = _out_path(args, d, PREDICTIONS_FILE)
+    out = _out_path(args, args.shape, PREDICTIONS_FILE)
     save_face_predictions(out, marginals, predictions)
     log.info(
         "infer: %d faces, converged=%s after %d sweeps -> %s",

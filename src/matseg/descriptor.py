@@ -22,7 +22,7 @@ from .config import FEATURE_DIM, LAMBDA_PRESETS, DescriptorConfig
 from .errors import InterchangeError, MissingDataError
 from .jsonl import finite_array, one_of, read_json, write_json
 from .materials import NUM_MATERIALS, multihot
-from .mesh import LabeledMesh
+from .mesh import UPRIGHT_AXIS, LabeledMesh
 from .sampling import SurfaceSample, positions_of
 
 FEATURE_RADII = (0.25, 0.5, 1.0)
@@ -160,9 +160,8 @@ def _thickness(bvh, pos, normals, radius) -> tuple[np.ndarray, np.ndarray]:
     cap = 2.0 * radius
     origins = pos - 1e-5 * radius * normals
     dirs = [-normals]
-    up = np.array([0.0, 1.0, 0.0])
     for k in range(_THICKNESS_CONE):
-        side = np.cross(normals, up + 1e-3 * (k + 1))
+        side = np.cross(normals, UPRIGHT_AXIS + 1e-3 * (k + 1))
         nrm = np.linalg.norm(side, axis=1, keepdims=True)
         side = np.where(nrm > 1e-9, side / np.maximum(nrm, 1e-12), 0.0)
         angle = 2.0 * np.pi * k / _THICKNESS_CONE

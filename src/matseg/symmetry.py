@@ -179,8 +179,8 @@ def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, ab
     sweep makes one KD query over the active starts and one stacked Kabsch
     fit. A start stops once its rmsd changes by less than ``tol``; a start
     still above ``abandon`` after 6 sweeps cannot reach the acceptance gate
-    and is cut short. Returns the rotations, translations
-    and rmsds of every start.
+    and is cut short. Returns the rotations, translations and rmsds of
+    every start.
     """
     n_starts, n = sources.shape[:2]
     r = np.array(rotations, dtype=np.float64)
@@ -272,7 +272,7 @@ def icp_align(
         init = RigidTransform.identity()
     r, t, rmsd = _icp_stack(
         src[None], dst, cKDTree(dst), init.rotation[None], init.translation[None], max_iter, tol,
-        np.inf,
+        np.inf,  # no acceptance gate here, so no start is abandoned
     )
     return RigidTransform(r[0], t[0]), float(rmsd[0])
 
