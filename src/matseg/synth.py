@@ -186,8 +186,9 @@ def _pinwheel(radius: float) -> np.ndarray:
     return np.vstack(rings)
 
 
-def _rot_y_exact(quarter_turns: int) -> np.ndarray:
-    """Rotation about +y by multiples of 90 degrees with exact 0/1 entries."""
+def _exact_quarter_turns(quarter_turns: int) -> np.ndarray:
+    """y_rotation(-quarter_turns * pi / 2) with exact 0/1 entries, free of
+    the rounding in cos and sin."""
     r = np.eye(3)
     for _ in range(quarter_turns % 4):
         r = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]) @ r
@@ -264,7 +265,7 @@ def _table(spec: SynthSpec) -> _Builder:
     n = spec.legs
     for k in range(n):
         if n == 4:
-            r = _rot_y_exact(k)
+            r = _exact_quarter_turns(k)
         else:
             r = y_rotation(-2.0 * np.pi * k / n)
         b.add(f"leg_{k}", _materials_for(spec, f"leg_{k}"), base @ r.T, leg_f)
