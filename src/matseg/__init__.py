@@ -26,7 +26,6 @@ from .symmetry import (
     RigidTransform,
     SymmetryPair,
     detect_symmetries,
-    icp_align,
     symmetry_pairs,
 )
 from .descriptor import (
@@ -73,7 +72,6 @@ __all__ = [
     "RigidTransform",
     "SymmetryPair",
     "detect_symmetries",
-    "icp_align",
     "symmetry_pairs",
     "DescriptorNet",
     "extract_features",

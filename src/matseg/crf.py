@@ -10,6 +10,9 @@ over pi), geodesic proximity (normalized distance), and detected symmetry
     log phi(l, l)  = -W * T[l, l] * k
     log phi(l, l') = -W * T[l, l'] * (1 - k)   for l != l'
 
+CrfWeights stacks every material's W and T in FAMILIES order, as (3, M)
+scales and (3, M, 2, 2) tables; the weight gradients take the same shapes.
+
 Inference is synchronous mean field with a backtracking step, so the free
 energy never rises; training is gradient ascent on the
 mean-field-approximated log-likelihood. Every factor couples only
@@ -48,48 +51,41 @@ _WEIGHTS_FORMAT = "crf-weights-v1"
 
 
 class CrfWeights:
-    """Per-material factor weights: a scale and a symmetric 2x2 table per family."""
+    """Per-material factor weights stacked in FAMILIES order: ``scales``
+    (families, M) and symmetric 2x2 ``tables`` (families, M, 2, 2), index i
+    belonging to FAMILIES[i]. The crf-weights-v1 document keys both by name.
+    """
 
     __slots__ = ("materials", "scales", "tables")
 
     def __init__(self, materials, scales, tables):
         self.materials = tuple(materials)
-        m = len(self.materials)
-        self.scales = {f: np.asarray(scales[f], dtype=np.float64).reshape(m) for f in FAMILIES}
-        self.tables = {f: np.asarray(tables[f], dtype=np.float64).reshape(m, 2, 2) for f in FAMILIES}
+        shape = (len(FAMILIES), len(self.materials))
+        self.scales = np.array(scales, dtype=np.float64).reshape(shape)
+        self.tables = np.array(tables, dtype=np.float64).reshape(*shape, 2, 2)
 
     @classmethod
     def ones(cls, materials=MATERIALS) -> "CrfWeights":
-        m = len(materials)
-        return cls(
-            materials,
-            {f: np.ones(m) for f in FAMILIES},
-            {f: np.ones((m, 2, 2)) for f in FAMILIES},
-        )
+        shape = (len(FAMILIES), len(materials))
+        return cls(materials, np.ones(shape), np.ones((*shape, 2, 2)))
 
     def copy(self) -> "CrfWeights":
-        return CrfWeights(
-            self.materials,
-            {f: self.scales[f].copy() for f in FAMILIES},
-            {f: self.tables[f].copy() for f in FAMILIES},
-        )
+        return CrfWeights(self.materials, self.scales, self.tables)
 
     def project(self) -> None:
         """Clip to nonnegative and re-symmetrize the tables in place."""
-        for f in FAMILIES:
-            np.maximum(self.scales[f], 0.0, out=self.scales[f])
-            t = self.tables[f]
-            off = 0.5 * (t[:, 0, 1] + t[:, 1, 0])
-            t[:, 0, 1] = off
-            t[:, 1, 0] = off
-            np.maximum(t, 0.0, out=t)
+        np.maximum(self.scales, 0.0, out=self.scales)
+        t = self.tables
+        off = 0.5 * (t[..., 0, 1] + t[..., 1, 0])
+        t[..., 0, 1] = t[..., 1, 0] = off
+        np.maximum(t, 0.0, out=t)
 
     def to_obj(self) -> dict:
         return {
             "format": _WEIGHTS_FORMAT,
             "materials": list(self.materials),
-            "scales": {f: self.scales[f].tolist() for f in FAMILIES},
-            "tables": {f: self.tables[f].tolist() for f in FAMILIES},
+            "scales": dict(zip(FAMILIES, self.scales.tolist())),
+            "tables": dict(zip(FAMILIES, self.tables.tolist())),
         }
 
     @classmethod
@@ -97,7 +93,7 @@ class CrfWeights:
         """Projected weights from a to_obj document over MATERIALS; ValueError
         for anything else."""
         check_record(obj, _WEIGHT_FIELDS)
-        w = cls(obj["materials"], obj["scales"], obj["tables"])
+        w = cls(obj["materials"], [obj["scales"][f] for f in FAMILIES], [obj["tables"][f] for f in FAMILIES])
         w.project()
         return w
 
@@ -287,22 +283,19 @@ def _field_terms(graph: CrfGraph):
     elementwise per material, so a material's beliefs do not depend on
     which other materials share a batch.
     """
-    w = graph.weights
     rs = graph._coupling.row_sums
-    families = [f for f in FAMILIES if len(graph.edges[f])]
+    live = [i for i, f in enumerate(FAMILIES) if len(graph.edges[f])]
+    scales, t = graph.weights.scales[live], graph.weights.tables[live]
+    a00 = scales * t[..., 0, 0]
+    a01 = scales * t[..., 0, 1]
+    coef = np.stack([a00 + scales * t[..., 1, 1], -2.0 * a01], axis=1).reshape(-1, graph.n_materials)
     log_u1 = np.log(graph.unary)
     log_u0 = np.log(1.0 - graph.unary)
-    coef = np.empty((2 * len(families), graph.n_materials))
     offset = (log_u1 - log_u0).T
     const = -log_u0.sum(axis=1)
-    for i, f in enumerate(families):
-        t = w.tables[f]
-        a00 = w.scales[f] * t[:, 0, 0]
-        a01 = w.scales[f] * t[:, 0, 1]
-        coef[2 * i] = a00 + w.scales[f] * t[:, 1, 1]
-        coef[2 * i + 1] = -2.0 * a01
-        offset = offset + rs[2 * i][:, None] * a00 - rs[2 * i + 1][:, None] * a01
-        const = const + 0.5 * rs[2 * i].sum() * a00
+    for i in range(len(live)):
+        offset = offset + rs[2 * i][:, None] * a00[i] - rs[2 * i + 1][:, None] * a01[i]
+        const = const + 0.5 * rs[2 * i].sum() * a00[i]
     return coef, offset, const
 
 
@@ -358,7 +351,8 @@ def mean_field_infer(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter,
         # 0/1 so the entropy term stays finite
         fresh = expit(offset - g)
         new = np.clip(0.5 * (q + fresh), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        delta = np.abs(new - q).max(axis=0, initial=0.0)
+        # max over a contiguous copy: the strided reduction costs several times more
+        delta = np.abs(new - q).T.copy().max(axis=1, initial=0.0)
         if short:
             s = step[cols]
             new = np.clip((1.0 - s) * q + s * fresh, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -407,26 +401,28 @@ def free_energy(graph: CrfGraph, q: np.ndarray) -> float:
     return float(_energies(q, graph._coupling.apply(coef, q), offset, const).sum())
 
 
-def _pair_stats(graph: CrfGraph, family: str, values: np.ndarray):
-    """Per-row edge sums of k * [both 0], k * [both 1] and (1 - k) * [differ].
+def _pair_stats(graph: CrfGraph, values: np.ndarray) -> np.ndarray:
+    """Per-row edge sums of k * [both 0], k * [both 1] and (1 - k) * [differ]
+    for each family, as a (families, 3, rows) array.
 
     Rows of ``values`` are binary labelings or factorized beliefs (one
     row per material, or per enumerated assignment); for beliefs the
     indicators become their expectations q_a q_b and so on.
     """
-    e = graph.edges[family]
-    k = graph.coeffs[family]
-    va = values[:, e[:, 0]]
-    vb = values[:, e[:, 1]]
-    both1 = va * vb
-    both0 = (1.0 - va) * (1.0 - vb)
-    differ = va * (1.0 - vb) + (1.0 - va) * vb
-    return both0 @ k, both1 @ k, differ @ (1.0 - k)
+    stats = []
+    for f in FAMILIES:
+        e, k = graph.edges[f], graph.coeffs[f]
+        va, vb = values[:, e[:, 0]], values[:, e[:, 1]]
+        both1 = va * vb
+        both0 = (1.0 - va) * (1.0 - vb)
+        differ = va * (1.0 - vb) + (1.0 - va) * vb
+        stats.append((both0 @ k, both1 @ k, differ @ (1.0 - k)))
+    return np.array(stats)
 
 
 def _score_terms(graph: CrfGraph, values: np.ndarray, m=slice(None)):
     """The weight-free parts of the log score of each row of binary
-    ``values``: its unary log-probability, and every family's _pair_stats.
+    ``values``: its unary log-probability, and its _pair_stats.
 
     By default row i is material i's labeling; with an integer ``m`` every
     row is a labeling of material m, scored with its unaries.
@@ -434,18 +430,17 @@ def _score_terms(graph: CrfGraph, values: np.ndarray, m=slice(None)):
     u = graph.unary[m]
     unary = np.einsum("...f,...f->...", values, np.log(u))
     unary += np.einsum("...f,...f->...", 1.0 - values, np.log(1.0 - u))
-    return unary, {family: _pair_stats(graph, family, values) for family in FAMILIES}
+    return unary, _pair_stats(graph, values)
 
 
 def _log_scores(graph: CrfGraph, terms, m=slice(None)) -> np.ndarray:
     """Log unnormalized probability of each row from its _score_terms,
     under the graph's current weights (material m's, with an integer m)."""
     scores, stats = terms
-    for family in FAMILIES:
-        s00, s11, s01 = stats[family]
-        w = graph.weights.scales[family][m]
-        t = graph.weights.tables[family][m]
-        scores = scores - w * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
+    w = graph.weights
+    for i, (s00, s11, s01) in enumerate(stats):
+        t = w.tables[i, m]
+        scores = scores - w.scales[i, m] * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
     return scores
 
 
@@ -502,18 +497,13 @@ def predict_labels(marginals: Marginals, threshold: float = CrfConfig.label_thre
     return PredictedLabels(top1=top1.astype(np.int64), label_sets=sets)
 
 
-def _score_gradient(graph: CrfGraph, pair_stats: dict):
-    """Gradient of the assignment score wrt every weight, from every family's
-    _pair_stats of the values (exact for binary labels)."""
-    g_scales = {}
-    g_tables = {}
-    for family in FAMILIES:
-        s00, s11, s01 = pair_stats[family]
-        t = graph.weights.tables[family]
-        scale = graph.weights.scales[family]
-        g_scales[family] = -(t[:, 0, 0] * s00 + t[:, 1, 1] * s11 + t[:, 0, 1] * s01)
-        stats = np.stack([s00, s01, s01, s11], axis=-1).reshape(-1, 2, 2)
-        g_tables[family] = -scale[:, None, None] * stats
+def _score_gradient(weights: CrfWeights, stats: np.ndarray):
+    """Gradient of the assignment score wrt the scales and the tables, from
+    the _pair_stats of the values (exact for binary labels)."""
+    s00, s11, s01 = stats.transpose(1, 0, 2)
+    t = weights.tables
+    g_scales = -(t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
+    g_tables = -weights.scales[..., None, None] * np.stack([s00, s01, s01, s11], axis=-1).reshape(t.shape)
     return g_scales, g_tables
 
 
@@ -522,18 +512,16 @@ def crf_gradient(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter, tol: flo
 
     The model expectation uses mean-field marginals with pairwise terms
     factorized as q_a * q_b. Returns (gradient scales, gradient tables,
-    approximate log-likelihood) where the likelihood approximates log Z by
-    the negative final free energy.
+    approximate log-likelihood), the gradients shaped like the weights; the
+    likelihood approximates log Z by the negative final free energy.
     """
     if graph.truth is None:
         raise MissingDataError("training graph lacks ground-truth labels")
     marg = mean_field_infer(graph, max_iter=max_iter, tol=tol)
-    data_s, data_t = _score_gradient(graph, graph._truth_terms[1])
-    model_s, model_t = _score_gradient(graph, {f: _pair_stats(graph, f, marg.q) for f in FAMILIES})
-    g_scales = {f: data_s[f] - model_s[f] for f in FAMILIES}
-    g_tables = {f: data_t[f] - model_t[f] for f in FAMILIES}
+    data_s, data_t = _score_gradient(graph.weights, graph._truth_terms[1])
+    model_s, model_t = _score_gradient(graph.weights, _pair_stats(graph, marg.q))
     approx_ll = float(_log_scores(graph, graph._truth_terms).sum() + marg.free_energy[-1])
-    return g_scales, g_tables, approx_ll
+    return data_s - model_s, data_t - model_t, approx_ll
 
 
 def train_crf(
@@ -555,24 +543,21 @@ def train_crf(
     for g in dataset:
         if g.truth is None:
             raise MissingDataError("training graph lacks ground-truth labels")
-    materials = dataset[0].materials
-    weights = init.copy() if init is not None else CrfWeights.ones(materials)
+    weights = init.copy() if init is not None else CrfWeights.ones(dataset[0].materials)
     trace = []
     for _ in range(iters):
-        acc_s = {f: np.zeros(len(materials)) for f in FAMILIES}
-        acc_t = {f: np.zeros((len(materials), 2, 2)) for f in FAMILIES}
+        acc_s = np.zeros_like(weights.scales)
+        acc_t = np.zeros_like(weights.tables)
         ll = 0.0
         for g in dataset:
             g.weights = weights
             g_s, g_t, g_ll = crf_gradient(g, max_iter=infer_iter, tol=infer_tol)
-            for f in FAMILIES:
-                acc_s[f] += g_s[f]
-                acc_t[f] += g_t[f]
+            acc_s += g_s
+            acc_t += g_t
             ll += g_ll
         trace.append(ll / len(dataset))
-        for f in FAMILIES:
-            weights.scales[f] += lr * acc_s[f] / len(dataset)
-            weights.tables[f] += lr * acc_t[f] / len(dataset)
+        weights.scales += lr * acc_s / len(dataset)
+        weights.tables += lr * acc_t / len(dataset)
         weights.project()
     for g in dataset:
         g.weights = weights

@@ -17,10 +17,6 @@ class NonFiniteGeometryError(MatsegError):
     """A vertex coordinate is NaN or infinite."""
 
 
-class DegenerateGeometryError(MatsegError):
-    """Point set is too degenerate (rank < 2) for rigid registration."""
-
-
 class MissingUnariesError(MatsegError):
     """CRF construction was given no unary samples, or not one row per sample."""
 

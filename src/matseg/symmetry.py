@@ -31,7 +31,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .config import SymmetryConfig
-from .errors import DegenerateGeometryError
 from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
 from .mesh import UPRIGHT_AXIS, LabeledMesh, y_rotation
 from .sampling import draw_surface
@@ -145,15 +144,6 @@ class SymmetryPair:
     transform_id: int
 
 
-def _check_rank(points: np.ndarray) -> None:
-    centered = points - points.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] <= 0.0 or sv[1] <= 1e-9 * sv[0]:
-        raise DegenerateGeometryError(
-            "point set is collinear or degenerate (covariance rank < 2)"
-        )
-
-
 def _kabsch_stack(centered, centroid, dst, det_sign):
     """Best rigid fits of a stack of source clouds onto matched points.
 
@@ -246,35 +236,6 @@ def _refit(source, target, normals, tree, init, max_iter, center, radius):
         if shift < _REFIT_STEP * radius:
             break
     return RigidTransform(r, t), float(np.sqrt(np.mean(dist * dist)))
-
-
-def icp_align(
-    source: np.ndarray,
-    target: np.ndarray,
-    init: RigidTransform | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-) -> tuple[RigidTransform, float]:
-    """Iterate nearest-neighbor matching and best rigid fit.
-
-    The fitted matrix keeps the determinant sign of ``init``, so a mirrored
-    initialization stays a reflection. Stops when the rmsd change drops
-    below ``tol``. Collinear or near-coincident point sets raise
-    DegenerateGeometryError.
-    """
-    src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    if len(src) == 0 or len(dst) == 0:
-        raise ValueError("point sets must be non-empty")
-    _check_rank(src)
-    _check_rank(dst)
-    if init is None:
-        init = RigidTransform.identity()
-    r, t, rmsd = _icp_stack(
-        src[None], dst, cKDTree(dst), init.rotation[None], init.translation[None], max_iter, tol,
-        np.inf,  # no acceptance gate here, so no start is abandoned
-    )
-    return RigidTransform(r[0], t[0]), float(rmsd[0])
 
 
 def _signature(cloud: np.ndarray) -> np.ndarray:

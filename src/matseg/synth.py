@@ -318,7 +318,7 @@ def generate(spec: SynthSpec) -> LabeledMesh:
     return builder.build(spec.jitter, spec.seed)
 
 
-def mirrored_chair_fixture(jitter: float = 0.0, seed: int = 0) -> LabeledMesh:
+def mirrored_chair_fixture() -> LabeledMesh:
     """Two chiral half-chair components related by exactly one mirror.
 
     The right half is the x-mirror of the left; each half merges a half
@@ -347,7 +347,7 @@ def mirrored_chair_fixture(jitter: float = 0.0, seed: int = 0) -> LabeledMesh:
     b = _Builder()
     b.add("left", ["wood"], left_v, left_f)
     b.add("right", ["wood"], right_v, right_f)
-    return b.build(jitter, seed)
+    return b.build(0.0, 0)
 
 
 DEFAULT_CONFUSION = np.array(

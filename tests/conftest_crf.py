@@ -2,9 +2,7 @@
 
 import numpy as np
 
-from matseg.crf import CrfGraph, CrfWeights, crf_gradient, exact_log_likelihood
-
-FAMILIES = ("adj", "dist", "sym")
+from matseg.crf import FAMILIES, CrfGraph, CrfWeights, crf_gradient, exact_log_likelihood
 
 
 def random_graph(rng, n_faces, materials, weight_scale=1.0, with_truth=False):
@@ -21,8 +19,7 @@ def random_graph(rng, n_faces, materials, weight_scale=1.0, with_truth=False):
             edges[fam] = np.array(pairs)
             coeffs[fam] = rng.uniform(0.0, 1.0, size=len(pairs))
     w = CrfWeights.ones(materials)
-    for fam in FAMILIES:
-        w.scales[fam] *= weight_scale
+    w.scales *= weight_scale
     truth = (rng.random((m, n_faces)) < 0.5).astype(float) if with_truth else None
     return CrfGraph(materials=materials, n_faces=n_faces, unary=unary,
                     edges=edges, coeffs=coeffs, weights=w, truth=truth)
@@ -67,31 +64,31 @@ def fd_check(graph, h=1e-5):
     def exact():
         return exact_log_likelihood(graph, graph.truth)
 
-    for fam in FAMILIES:
+    for i, fam in enumerate(FAMILIES):
         if len(graph.edges.get(fam, ())) == 0:
             continue
         for m in range(graph.n_materials):
-            w.scales[fam][m] += h
+            w.scales[i, m] += h
             up = exact()
-            w.scales[fam][m] -= 2 * h
+            w.scales[i, m] -= 2 * h
             dn = exact()
-            w.scales[fam][m] += h
+            w.scales[i, m] += h
             fd = (up - dn) / (2 * h)
-            err = abs(gs[fam][m] - fd) / max(abs(fd), 1e-8)
+            err = abs(gs[i, m] - fd) / max(abs(fd), 1e-8)
             errs.append((err, abs(fd), f"{fam}.scale[{m}]"))
             for a, b in ((0, 0), (0, 1), (1, 1)):
-                w.tables[fam][m, a, b] += h
+                w.tables[i, m, a, b] += h
                 if a != b:
-                    w.tables[fam][m, b, a] += h
+                    w.tables[i, m, b, a] += h
                 up = exact()
-                w.tables[fam][m, a, b] -= 2 * h
+                w.tables[i, m, a, b] -= 2 * h
                 if a != b:
-                    w.tables[fam][m, b, a] -= 2 * h
+                    w.tables[i, m, b, a] -= 2 * h
                 dn = exact()
-                w.tables[fam][m, a, b] += h
+                w.tables[i, m, a, b] += h
                 if a != b:
-                    w.tables[fam][m, b, a] += h
+                    w.tables[i, m, b, a] += h
                 fd = (up - dn) / (2 * h)
-                err = abs(gt[fam][m, a, b] - fd) / max(abs(fd), 1e-8)
+                err = abs(gt[i, m, a, b] - fd) / max(abs(fd), 1e-8)
                 errs.append((err, abs(fd), f"{fam}.table[{m},{a},{b}]"))
     return errs

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matseg.crf import (
+    FAMILIES,
     CrfGraph,
     CrfWeights,
     Marginals,
@@ -37,8 +38,6 @@ from matseg.errors import (
 from matseg.materials import MATERIALS, multihot
 from matseg.mesh import attach_labels, compute_adjacency
 
-FAMILIES = ("adj", "dist", "sym")
-
 
 def one_material_graph(unary, adj=(), weights=None, truth=None):
     unary = np.asarray(unary, dtype=np.float64)
@@ -61,9 +60,7 @@ def hand_enumeration(graph):
     probs = []
     for config in itertools.product((0, 1), repeat=n):
         logp = sum(math.log(u[f]) if config[f] else math.log(1 - u[f]) for f in range(n))
-        for fam in FAMILIES:
-            scale = float(w.scales[fam][0])
-            table = w.tables[fam][0]
+        for fam, scale, table in zip(FAMILIES, w.scales[:, 0], w.tables[:, 0]):
             for (a, b), k in zip(graph.edges[fam], graph.coeffs[fam]):
                 la, lb = config[a], config[b]
                 coeff = k if la == lb else 1.0 - k
@@ -154,8 +151,7 @@ def test_unary_rows_complement():
 
 def test_zero_pairwise_beliefs_equal_unaries():
     w = CrfWeights.ones(("wood",))
-    for fam in FAMILIES:
-        w.scales[fam][:] = 0.0
+    w.scales[:] = 0.0
     g = one_material_graph([0.9, 0.2, 0.65], adj=[(0, 1, 0.3), (1, 2, 0.7)], weights=w)
     marg = mean_field_infer(g)
     assert np.max(np.abs(marg.q - g.unary)) < 1e-12
@@ -166,7 +162,7 @@ def test_zero_pairwise_beliefs_equal_unaries():
 def test_strong_equality_edge_lifts_both():
     # favors agreement: zero squared coefficient, heavy scale
     w = CrfWeights.ones(("wood",))
-    w.scales["adj"][0] = 5.0
+    w.scales[0, 0] = 5.0
     g = one_material_graph([0.9, 0.4], adj=[(0, 1, 0.0)], weights=w)
     marg = mean_field_infer(g)
     assert marg.converged
@@ -177,8 +173,8 @@ def test_strong_equality_edge_lifts_both():
 
 def test_brute_force_matches_hand_enumeration():
     w = CrfWeights.ones(("wood",))
-    w.scales["adj"][0] = 1.3
-    w.tables["adj"][0] = np.array([[0.2, 0.9], [0.9, 1.7]])
+    w.scales[0, 0] = 1.3
+    w.tables[0, 0] = np.array([[0.2, 0.9], [0.9, 1.7]])
     g = one_material_graph([0.8, 0.35, 0.6], adj=[(0, 1, 0.4), (1, 2, 0.15)], weights=w)
     q_ref, z_ref = hand_enumeration(g)
     bf = brute_force_marginals(g)
@@ -231,7 +227,7 @@ def test_fixed_point_stability():
 
 def test_nonconvergence_flagged_not_raised():
     w = CrfWeights.ones(("wood",))
-    w.scales["adj"][0] = 5.0
+    w.scales[0, 0] = 5.0
     g = one_material_graph([0.9, 0.1], adj=[(0, 1, 0.0)], weights=w)
     marg = mean_field_infer(g, max_iter=1)
     assert marg.converged is False
@@ -256,14 +252,14 @@ def test_material_decomposition_bitwise():
     edges = {"adj": np.array([[0, 1], [1, 2], [2, 3]])}
     coeffs = {"adj": rng.uniform(0.0, 1.0, size=3)}
     w = CrfWeights.ones(mats)
-    w.scales["adj"][:] = [0.5, 1.5, 0.7]
+    w.scales[0] = [0.5, 1.5, 0.7]
     full = CrfGraph(materials=mats, n_faces=n, unary=unary.copy(),
                     edges={k: v.copy() for k, v in edges.items()},
                     coeffs={k: v.copy() for k, v in coeffs.items()}, weights=w)
     got = mean_field_infer(full)
     for mi, name in enumerate(mats):
         sub_w = CrfWeights.ones((name,))
-        sub_w.scales["adj"][0] = w.scales["adj"][mi]
+        sub_w.scales[0, 0] = w.scales[0, mi]
         sub = CrfGraph(materials=(name,), n_faces=n, unary=unary[mi : mi + 1].copy(),
                        edges={k: v.copy() for k, v in edges.items()},
                        coeffs={k: v.copy() for k, v in coeffs.items()}, weights=sub_w)
@@ -274,11 +270,7 @@ def test_material_decomposition_bitwise():
 def material_subgraph(graph, mi):
     """Material ``mi`` of ``graph`` as a one-material graph."""
     w = graph.weights
-    sub_w = CrfWeights(
-        (graph.materials[mi],),
-        {f: w.scales[f][mi : mi + 1] for f in FAMILIES},
-        {f: w.tables[f][mi : mi + 1] for f in FAMILIES},
-    )
+    sub_w = CrfWeights((graph.materials[mi],), w.scales[:, mi], w.tables[:, mi])
     return CrfGraph(materials=(graph.materials[mi],), n_faces=graph.n_faces,
                     unary=graph.unary[mi : mi + 1].copy(),
                     edges={k: v.copy() for k, v in graph.edges.items()},
@@ -294,12 +286,12 @@ def test_batched_inference_matches_per_material_runs(seed, n_mat, n_faces):
     g = random_graph(rng, n_faces, MATERIALS[:n_mat])
     assert all(len(g.edges[f]) for f in FAMILIES)
     # per-material scales spread the sweep counts; tables stay symmetric
-    for fam in FAMILIES:
-        g.weights.scales[fam][:] = rng.uniform(0.0, 3.0, size=n_mat)
+    for scales, tables in zip(g.weights.scales, g.weights.tables):
+        scales[:] = rng.uniform(0.0, 3.0, size=n_mat)
         off = rng.uniform(0.0, 2.0, size=n_mat)
-        g.weights.tables[fam][:, 0, 0] = rng.uniform(0.0, 2.0, size=n_mat)
-        g.weights.tables[fam][:, 1, 1] = rng.uniform(0.0, 2.0, size=n_mat)
-        g.weights.tables[fam][:, 0, 1] = g.weights.tables[fam][:, 1, 0] = off
+        tables[:, 0, 0] = rng.uniform(0.0, 2.0, size=n_mat)
+        tables[:, 1, 1] = rng.uniform(0.0, 2.0, size=n_mat)
+        tables[:, 0, 1] = tables[:, 1, 0] = off
     subs = [material_subgraph(g, mi) for mi in range(n_mat)]
     natural = [mean_field_infer(sub, max_iter=400).sweeps for sub in subs]
     # the cap below the slowest material's count stops it at max_iter
@@ -334,12 +326,12 @@ def test_cached_operator_follows_weight_updates():
 
     # train_crf first swaps in a shared weight object, then steps it in place
     g.weights = CrfWeights.ones(g.materials)
-    g.weights.scales["dist"][:] = [0.2, 2.5, 1.1]
+    g.weights.scales[1] = [0.2, 2.5, 1.1]
     swapped = mean_field_infer(g)
     assert not np.array_equal(swapped.q, before.q)
-    g.weights.scales["adj"] += 0.75
-    g.weights.tables["sym"][:, 0, 1] += 0.5
-    g.weights.tables["sym"][:, 1, 0] += 0.5
+    g.weights.scales[0] += 0.75
+    g.weights.tables[2, :, 0, 1] += 0.5
+    g.weights.tables[2, :, 1, 0] += 0.5
     for got in (mean_field_infer(g), mean_field_infer(g)):
         want = mean_field_infer(fresh_graph())
         assert np.array_equal(got.q, want.q)
@@ -358,8 +350,7 @@ def test_monotone_smoothing_with_scale():
     disagreements = []
     for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
         w = CrfWeights.ones(mats)
-        for fam in FAMILIES:
-            w.scales[fam][:] = scale if fam == "adj" else 0.0
+        w.scales[:] = [[scale], [0.0], [0.0]]
         g = CrfGraph(materials=mats, n_faces=6, unary=unary.copy(),
                      edges={k: v.copy() for k, v in edges.items()},
                      coeffs={k: v.copy() for k, v in coeffs.items()}, weights=w)
@@ -373,7 +364,7 @@ def test_symmetry_edge_forces_agreement():
     mats = ("wood", "metal")
     unary = np.array([[0.60, 0.48], [0.40, 0.52]])
     w = CrfWeights.ones(mats)
-    w.scales["sym"][:] = 10.0
+    w.scales[2] = 10.0
     g = CrfGraph(materials=mats, n_faces=2, unary=unary.copy(),
                  edges={"sym": np.array([[0, 1]])}, coeffs={"sym": np.zeros(1)},
                  weights=w)
@@ -419,11 +410,10 @@ def test_gradient_stationary_at_coherent_argmax():
     truth = (unary > 0.5).astype(float)
     g = one_material_graph(unary[0], adj=[(0, 1, 0.0), (1, 2, 0.0)], truth=truth)
     gs, gt, _ = crf_gradient(g)
-    for fam in FAMILIES:
-        assert np.max(np.abs(gs[fam])) < 0.05
-        assert np.max(np.abs(gt[fam])) < 0.05
+    assert np.max(np.abs(gs)) < 0.05
+    assert np.max(np.abs(gt)) < 0.05
     w, _ = train_crf([g], lr=0.01, iters=5)
-    assert np.max(np.abs(w.scales["adj"] - 1.0)) < 0.05
+    assert np.max(np.abs(w.scales[0] - 1.0)) < 0.05
 
 
 def test_training_requires_truth():
@@ -446,23 +436,27 @@ def test_training_improves_exact_likelihood():
         w, trace = train_crf([g], lr=0.01, iters=10)
         after = exact_log_likelihood(g, g.truth)
         assert after > before
-        for fam in FAMILIES:
-            assert np.all(w.scales[fam] >= 0.0)
-            assert np.all(w.tables[fam] >= 0.0)
-            assert np.allclose(w.tables[fam][:, 0, 1], w.tables[fam][:, 1, 0])
+        assert np.all(w.scales >= 0.0)
+        assert np.all(w.tables >= 0.0)
+        assert np.allclose(w.tables[..., 0, 1], w.tables[..., 1, 0])
 
 
 def test_weights_round_trip(tmp_path):
     w = CrfWeights.ones(MATERIALS)
-    w.scales["dist"][2] = 1.75
-    w.tables["sym"][1, 0, 1] = w.tables["sym"][1, 1, 0] = 0.25
+    w.scales[FAMILIES.index("dist"), 2] = 1.75
+    w.tables[FAMILIES.index("sym"), 1, 0, 1] = w.tables[FAMILIES.index("sym"), 1, 1, 0] = 0.25
     path = tmp_path / "weights.json"
     w.save(str(path))
-    back = CrfWeights.load(str(path))
-    assert back.materials == w.materials
-    for fam in FAMILIES:
-        assert np.array_equal(back.scales[fam], w.scales[fam])
-        assert np.array_equal(back.tables[fam], w.tables[fam])
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["scales"].keys() == doc["tables"].keys() == set(FAMILIES)
+    assert doc["scales"]["dist"][2] == 1.75
+    assert doc["tables"]["sym"][1][0][1] == 0.25
+    reordered = dict(doc, scales=dict(reversed(doc["scales"].items())),
+                     tables=dict(reversed(doc["tables"].items())))
+    for back in (CrfWeights.load(str(path)), CrfWeights.from_obj(reordered)):
+        assert back.materials == w.materials
+        assert np.array_equal(back.scales, w.scales)
+        assert np.array_equal(back.tables, w.tables)
 
 
 def test_sample_probs_round_trip(tmp_path):
