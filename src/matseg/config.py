@@ -129,6 +129,9 @@ def _parse(raw: str, template, where: str):
 # values the stages cannot run with, beyond their type and sign
 _VALID = {
     "sampling.n_points": (lambda n: n >= 1, "at least 1"),
+    # fewer than 3 source points cannot pin a rigid fit, so every component is skipped
+    "symmetry.samples_per_component": (lambda n: n >= 3, "at least 3"),
+    "symmetry.rmsd_threshold": (lambda g: g > 0.0, "more than 0"),
     "geodesic.radius_fraction": (lambda r: r > 0.0, "more than 0"),
     "descriptor.variant": (lambda v: v in LAMBDA_PRESETS, f"one of {sorted(LAMBDA_PRESETS)}"),
     "descriptor.steps_per_epoch": (lambda n: n >= 1, "at least 1"),

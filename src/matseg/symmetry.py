@@ -12,11 +12,15 @@ that stays on itself under a turn finer than the ring (a round top) would
 propose its own turns, so another serves as anchor where one can. The fits
 are clustered, each cluster's transform sharpened point-to-plane
 (Rusinkiewicz & Levoy, 3DIM 2001), and verified on the whole shape: a
-transform survives when it takes every component onto a congruent one, and
-those (component, target) pairs are refitted on dense clouds and clustered
-again, so each distinct symmetry appears once. Its face pairs feed the
-CRF's symmetry factors. Detected symmetries are saved as one JSON document,
-face pairs as JSON lines.
+transform survives when it takes every component onto a congruent one. All
+those (component, target) pairs share its motion, so one joint
+point-to-plane refit over their stacked correspondences polishes it, and
+one query of each pair's dense cloud gates the pair. A pair that maps a
+component onto itself is also probed by a refit of that pair alone, which
+catches a component that only the other pairs hold in place. The survivors
+are clustered again, so each distinct symmetry appears once. Its face pairs
+feed the CRF's symmetry factors. Detected symmetries are saved as one JSON
+document, face pairs as JSON lines.
 """
 
 from __future__ import annotations
@@ -39,11 +43,14 @@ _N_INIT_ROTATIONS = 8
 # dense target clouds keep the nearest-neighbor rmsd floor of a correct
 # match well below the acceptance gate
 _TARGET_DENSITY = 32
+# the joint refit and the self-pair probe move every _REFIT_STRIDE-th point
+# of a component's dense cloud; the gate's rmsd reads the whole cloud
+_REFIT_STRIDE = 4
 _TRIVIAL_ANGLE = math.radians(2.0)
 _CLUSTER_ANGLE = math.radians(5.0)
 _CLUSTER_AXIS = math.radians(5.0)
 _CLUSTER_TRANSLATION = 0.05
-# the dense refit stops once a step moves the bounding sphere by less
+# a point-to-plane refit stops once a step moves the bounding sphere by less
 _REFIT_STEP = 1e-9
 _REFIT_MAX_ITER = 12
 
@@ -203,39 +210,42 @@ def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, ab
     return r, t, rmsd
 
 
-def _refit(source, target, normals, tree, init, max_iter, center, radius):
-    """Point-to-plane ICP (Rusinkiewicz & Levoy 2001) from ``init``.
+def _refit(pairs, targets, normals, trees, init, max_iter, center, radius):
+    """Point-to-plane ICP (Rusinkiewicz & Levoy 2001) of one motion from
+    ``init``, over the stacked correspondences of every pair.
 
-    Each step linearizes the rotation, solves for the small motion (w, v)
-    that best slides the moved source onto the tangent planes of its
-    nearest targets, and applies it as ``R <- dR R, t <- dR t + v`` with
-    dR the exact rotation by w, so a reflection stays a reflection. The
+    ``pairs`` lists (moving cloud, target index j); each cloud is matched
+    to its nearest points of ``targets[j]`` through ``trees[j]``. Each step
+    linearizes the rotation, solves for the small motion (w, v) that best
+    slides all moved clouds at once onto the tangent planes of their
+    nearest targets, and applies it as ``R <- dR R, t <- dR t + v`` with dR
+    the exact rotation by w, so a reflection stays a reflection. The
     minimum-norm solve leaves a free direction (a round top spun about its
     axis) at the start's value. Stops when a step moves the bounding sphere
-    by less than _REFIT_STEP * radius. Returns the transform and its
-    point-to-point rmsd.
+    by less than _REFIT_STEP * radius. Returns the transform.
     """
+    source = np.vstack([cloud for cloud, _ in pairs])
+    ends = np.cumsum([len(cloud) for cloud, _ in pairs])[:-1]
     r = init.rotation
     t = init.translation
-    moved = source @ r.T + t
-    dist, idx = tree.query(moved)
     for _ in range(max_iter):
-        n = normals[idx]
+        moved = source @ r.T + t
+        idx = [trees[j].query(part)[1] for (_, j), part in zip(pairs, np.split(moved, ends))]
+        nearest = np.vstack([targets[j][i] for (_, j), i in zip(pairs, idx)])
+        n = np.vstack([normals[j][i] for (_, j), i in zip(pairs, idx)])
         # columns scaled to the radius so the solve does not depend on units
         a = np.hstack([np.cross(moved, n) / radius, n])
-        b = np.einsum("ij,ij->i", target[idx] - moved, n)
+        b = np.einsum("ij,ij->i", nearest - moved, n)
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         w, v = x[:3] / radius, x[3:]
         dr = Rotation.from_rotvec(w).as_matrix()
         r = dr @ r
         t = dr @ t + v
-        moved = source @ r.T + t
-        dist, idx = tree.query(moved)
         # bound on how far any point of the bounding sphere moved this step
         shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
         if shift < _REFIT_STEP * radius:
             break
-    return RigidTransform(r, t), float(np.sqrt(np.mean(dist * dist)))
+    return RigidTransform(r, t)
 
 
 def _signature(cloud: np.ndarray) -> np.ndarray:
@@ -301,10 +311,14 @@ def detect_symmetries(
     whole shape: it survives only if it maps every component onto a
     congruent component under the gate, so congruences private to one pair
     (a cylindrical leg spun onto itself) do not count as shape symmetries.
-    The check names each component's target; every such (component,
-    target) pair is refitted point-to-plane on the dense clouds, dropped
-    if the refit moves the component's sparse cloud by the gate (rms) away
-    from where the checked transform put it, and clustered again.
+    The check names each component's target. One point-to-plane refit of
+    the transform runs over the stacked correspondences of all its
+    (component, target) pairs, each moving every fourth point of the
+    component's dense cloud; each pair is then gated on the rmsd of its
+    whole dense cloud under that joint fit. A pair that maps a component
+    onto itself is also refitted alone from the joint fit, and dropped if
+    that probe moves the component's sparse cloud by the gate (rms). The
+    surviving pairs are clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -377,9 +391,8 @@ def detect_symmetries(
         best.setdefault(sym.transform_id, sym)
     reps = []
     for sym in best.values():
-        j = sym.target_component
-        fit, _ = _refit(
-            sources[sym.source_component], targets[j], normals[j], trees[j],
+        fit = _refit(
+            [(sources[sym.source_component], sym.target_component)], targets, normals, trees,
             sym.transform, refit_iter, center, radius,
         )
         if not _is_trivial(fit):
@@ -388,23 +401,38 @@ def detect_symmetries(
     # a pair of congruent components (two identical legs, a cylinder onto
     # itself at any offset) fits under the gate without being a symmetry
     # of the shape; keep only transforms that map every component onto
-    # matching geometry, and refit each of their (component, target) pairs
-    # on the dense clouds. Re-clustering merges duplicates, and fits that
-    # slid toward the identity meet the trivial gate again. A refit that
-    # moves the component's own points by the gate, in rms, has slid to a
-    # congruence of that pair alone (a 16-gon top turned by its own 112.5
-    # degrees where the shape turns by 120) and is dropped.
+    # matching geometry. Their (component, target) pairs share one motion:
+    # one refit over all of them polishes it, and one query of each pair's
+    # dense cloud gates the pair. Re-clustering merges duplicates, and fits
+    # that slid toward the identity meet the trivial gate again. The other
+    # pairs can hold a component where alone it would slide (a 16-gon top
+    # under the shape's 120-degree turn), so a pair onto itself is dropped
+    # when its own refit from the joint fit moves its sparse cloud by the
+    # gate (rms), to a congruence of that component alone (the top's own
+    # 112.5 degrees).
     refit: list[tuple[RigidTransform, int, int, float]] = []
     for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
-        for c, j in pairs or ():
-            fit, rmsd = _refit(
-                targets[c], targets[j], normals[j], trees[j], rep, refit_iter, center, radius,
-            )
-            if rmsd >= accept or _is_trivial(fit):
+        if not pairs:
+            continue
+        fit = _refit(
+            [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs], targets, normals, trees,
+            rep, refit_iter, center, radius,
+        )
+        if _is_trivial(fit):
+            continue
+        for c, j in pairs:
+            dist = trees[j].query(fit.apply(targets[c]))[0]
+            rmsd = float(np.sqrt(np.mean(dist * dist)))
+            if rmsd >= accept:
                 continue
-            slide = fit.apply(sources[c]) - rep.apply(sources[c])
-            if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
-                continue
+            if c == j:
+                probe = _refit(
+                    [(targets[c][::_REFIT_STRIDE], c)], targets, normals, trees,
+                    fit, refit_iter, center, radius,
+                )
+                slide = probe.apply(sources[c]) - fit.apply(sources[c])
+                if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
+                    continue
             refit.append((fit, c, j, rmsd))
     return _cluster(refit, radius)
 
@@ -532,31 +560,35 @@ def symmetry_pairs(
 
     Residual s is normalized by the bounding radius and clamped to [0, 1];
     pairs above ``residual_cutoff`` are dropped, as are self pairs. A face
-    pair reachable through several transforms keeps its smallest residual.
+    pair reachable through several transforms keeps its smallest residual,
+    from the first of them on ties.
     """
     centroids = mesh.face_centroids()
     radius = mesh.bounding_radius
-    best: dict[tuple[int, int], SymmetryPair] = {}
+    found = []
     for sym in symmetries:
         sf = mesh.component_faces(sym.source_component)
         tf = mesh.component_faces(sym.target_component)
         if len(sf) == 0 or len(tf) == 0:
             continue
-        tree = cKDTree(centroids[tf])
-        dist, idx = tree.query(sym.transform.apply(centroids[sf]))
-        s = np.minimum(dist / radius, 1.0)
-        for k in range(len(sf)):
-            if s[k] > residual_cutoff:
-                continue
-            fa = int(sf[k])
-            fb = int(tf[idx[k]])
-            if fa == fb:
-                continue
-            key = (fa, fb) if fa < fb else (fb, fa)
-            prev = best.get(key)
-            if prev is None or s[k] < prev.s:
-                best[key] = SymmetryPair(fa, fb, float(s[k]), sym.transform_id)
-    return [best[k] for k in sorted(best)]
+        dist, idx = cKDTree(centroids[tf]).query(sym.transform.apply(centroids[sf]))
+        found.append((sf, tf[idx], np.minimum(dist / radius, 1.0), np.full(len(sf), sym.transform_id)))
+    if not found:
+        return []
+    fa, fb, s, tid = (np.concatenate(column) for column in zip(*found))
+    keep = (s <= residual_cutoff) & (fa != fb)
+    fa, fb, s, tid = fa[keep], fb[keep], s[keep], tid[keep]
+    lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
+    # sorted by unordered pair, then residual; lexsort is stable, so equal
+    # residuals keep the order of the symmetries and the first one wins
+    order = np.lexsort((s, hi, lo))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
+    pick = order[first]
+    return [
+        SymmetryPair(*pair)
+        for pair in zip(fa[pick].tolist(), fb[pick].tolist(), s[pick].tolist(), tid[pick].tolist())
+    ]
 
 
 def _transform(matrix: list) -> RigidTransform:

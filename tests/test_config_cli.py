@@ -79,12 +79,13 @@ def test_hash_tracks_content():
     assert len(a.hash()) == 12
 
 
-def write_spec(tmp_path):
+def write_spec(tmp_path, **fields):
     spec = {
         "category": "table", "legs": 4, "leg_shape": "prism",
         "top_shape": "pinwheel",
         "materials": {"leg": ["metal"], "top": ["wood"]},
         "jitter": 0.0, "seed": 3,
+        **fields,
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
@@ -138,11 +139,15 @@ def test_cli_error_paths(tmp_path):
 
 @pytest.fixture(scope="module")
 def sampled_shapes(tmp_path_factory):
-    """A directory holding one synthesized shape with its samples."""
+    """A directory holding one synthesized table with its samples, and a
+    box chair."""
     root = tmp_path_factory.mktemp("data")
     out = root / "t"
     assert cli.main(["synth", "--spec", write_spec(root), "--out", str(out)]) == 0
     assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "30"]) == 0
+    chair = write_spec(root, category="chair", leg_shape="box",
+                       materials={"seat": ["fabric"], "back": ["fabric"], "leg": ["wood"]})
+    assert cli.main(["synth", "--spec", chair, "--out", str(root / "chair")]) == 0
     return root
 
 
@@ -154,9 +159,14 @@ def sampled_shapes(tmp_path_factory):
     ("sample", ["--set", "sampling.n_points=0"], "sampling.n_points"),
     ("sample", ["-n", "0"], "sampling.n_points"),
     ("geodesic", ["--set", "geodesic.radius_fraction=-1"], "geodesic.radius_fraction"),
+    ("symmetry", ["--set", "symmetry.samples_per_component=0"], "symmetry.samples_per_component"),
+    ("symmetry", ["--set", "symmetry.samples_per_component=2"], "symmetry.samples_per_component"),
+    ("symmetry", ["--set", "symmetry.rmsd_threshold=0"], "symmetry.rmsd_threshold"),
+    ("symmetry", ["--set", "symmetry.rmsd_threshold=-1"], "symmetry.rmsd_threshold"),
 ])
 def test_cli_rejects_values_a_stage_cannot_run_with(sampled_shapes, caplog, command, argv, key):
-    where = ["--data", str(sampled_shapes)] if command == "train-desc" else ["--shape", str(sampled_shapes / "t")]
+    shape = sampled_shapes / ("chair" if command == "symmetry" else "t")
+    where = ["--data", str(sampled_shapes)] if command == "train-desc" else ["--shape", str(shape)]
     caplog.clear()
     assert cli.main([command, *where, *argv, "--out", str(sampled_shapes / "result")]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

@@ -269,6 +269,52 @@ def test_pair_residual_recomputes():
         assert s == p.s
 
 
+def loop_symmetry_pairs(mesh, syms, residual_cutoff=0.1):
+    """symmetry_pairs face by face: per unordered face pair the smallest
+    residual, the first transform on ties."""
+    centroids = mesh.face_centroids()
+    best = {}
+    for sym in syms:
+        sf = mesh.component_faces(sym.source_component)
+        tf = mesh.component_faces(sym.target_component)
+        dist, idx = cKDTree(centroids[tf]).query(sym.transform.apply(centroids[sf]))
+        s = np.minimum(dist / mesh.bounding_radius, 1.0)
+        for k in range(len(sf)):
+            fa, fb = int(sf[k]), int(tf[idx[k]])
+            if s[k] > residual_cutoff or fa == fb:
+                continue
+            key = (min(fa, fb), max(fa, fb))
+            if key not in best or s[k] < best[key][2]:
+                best[key] = (fa, fb, float(s[k]), sym.transform_id)
+    return [best[k] for k in sorted(best)]
+
+
+def test_symmetry_pairs_match_face_by_face_reference():
+    # exact transforms tie on the pairs they share (the quarter turn, its
+    # inverse and a repeat of one of its entries under later ids; a box
+    # onto itself under the x-mirror reaches each face pair both ways),
+    # and nudged ones leave residuals of every size
+    mesh = four_box_mesh()
+    rng = np.random.default_rng(9)
+    quarter = RigidTransform(y_rotation(math.pi / 2), np.zeros(3))
+    mirror = RigidTransform(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
+    syms = [DetectedSymmetry(quarter, c, (c + 1) % 4, 0.0, 0) for c in range(4)]
+    syms += [DetectedSymmetry(quarter.inverse(), c, (c + 3) % 4, 0.0, 1) for c in range(4)]
+    syms += [DetectedSymmetry(quarter, 2, 3, 0.0, 2)]
+    syms += [DetectedSymmetry(mirror, c, j, 0.0, 3) for c, j in ((0, 2), (1, 1), (2, 0), (3, 3))]
+    for tid in range(4, 10):
+        nudge = RigidTransform(Rotation.from_rotvec(rng.normal(scale=0.05, size=3)).as_matrix(),
+                               rng.normal(scale=0.03, size=3))
+        c = int(rng.integers(4))
+        syms.append(DetectedSymmetry(nudge.compose(quarter), c, (c + 1) % 4, 0.0, tid))
+    want = loop_symmetry_pairs(mesh, syms)
+    got = [(p.face_a, p.face_b, p.s, p.transform_id) for p in symmetry_pairs(mesh, syms)]
+    assert got == want
+    tids = {t for *_, t in want}
+    assert tids >= {0, 3, 4} and 2 not in tids
+    assert symmetry_pairs(mesh, []) == []
+
+
 def test_symmetry_round_trips(tmp_path):
     mesh = four_box_mesh()
     syms = detect_symmetries(mesh, seed=1)
@@ -341,8 +387,8 @@ def test_round_top_tables_keep_every_leg_symmetry(legs):
     apart, so the search anchors on a box leg. Every turn and mirror that
     carries the legs onto each other comes out once, pairing each leg with
     the leg it carries it onto; the top is paired only under a symmetry
-    that is also the top's own, since elsewhere its dense refit slides to
-    the nearest turn of the 16-gon."""
+    that is also the top's own, since elsewhere its probe slides to the
+    nearest turn of the 16-gon."""
     spec = SynthSpec(category="table", legs=legs, leg_shape="box", top_shape="round",
                      materials={"top": ["wood"], "leg": ["metal"]})
     mesh = generate(spec)
@@ -386,6 +432,22 @@ def test_jittered_cabinets_keep_the_x_mirror(index, seed):
     tid = min(gaps, key=gaps.get)
     assert gaps[tid] < 0.02
     assert_pairs_follow(mesh, syms, tid, mirror)
+
+
+def test_jittered_cabinet_finds_no_non_symmetry():
+    """Suite index 25 at jitter 0.005, seed 3025: every detected transform
+    takes each vertex to within the jitter on both ends plus the gate of
+    some vertex, and one of them is the x-mirror."""
+    spec = dataclasses.replace(benchmark_suite()[25], jitter=0.005, seed=3025)
+    mesh = generate(spec)
+    reps = unique_transforms(detect_symmetries(mesh, seed=3025)).values()
+    v = mesh.vertices
+    tol = (2.0 * math.sqrt(3.0) * 0.005 + 0.02) * mesh.bounding_radius
+    tree = cKDTree(v)
+    for t in reps:
+        assert tree.query(t.apply(v))[0].max() <= tol, (t.kind, t.angle_axis())
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    assert min(np.linalg.norm(t.apply(v) - v @ mirror.T, axis=1).max() for t in reps) <= tol
 
 
 def test_mirror_pairs_come_out_both_ways(suite_detections):
@@ -444,6 +506,33 @@ def test_early_reject_matches_full_rmsd():
     assert not all(bounded)
 
 
+@pytest.mark.parametrize("rotation", [QUARTER, np.diag([-1.0, 1.0, 1.0])])
+def test_stacked_refit_recovers_the_shared_motion(rotation):
+    """One motion fitted over three (component, target) pairs at once, from
+    a start 3 degrees and 0.02 R off: the quarter turn carries each box
+    onto the next, the x-mirror swaps boxes 0 and 2 and keeps box 1 on
+    itself."""
+    mesh = four_box_mesh()
+    radius = mesh.bounding_radius
+    rng = np.random.default_rng(8)
+    dense = [component_cloud(mesh, c, 8192, rng) for c in range(4)]
+    targets = [points for points, _ in dense]
+    normals = [mesh.face_normals[faces] for _, faces in dense]
+    true = RigidTransform(rotation, np.zeros(3))
+    cents = component_centroids(mesh)
+    pairs = [(c, int(np.argmin(np.linalg.norm(cents - true.apply(cents[c]), axis=1)))) for c in range(3)]
+    axis = np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25)
+    nudge = RigidTransform(Rotation.from_rotvec(math.radians(3.0) * axis).as_matrix(),
+                           0.02 * radius * np.array([0.6, -0.8, 0.0]))
+    fit = _refit(
+        [(targets[c][::4], j) for c, j in pairs], targets, normals, [cKDTree(t) for t in targets],
+        nudge.compose(true), 12, mesh.bounding_center, radius,
+    )
+    assert fit.det == true.det
+    gap = np.linalg.norm(fit.apply(mesh.vertices) - true.apply(mesh.vertices), axis=1).max()
+    assert gap < 1e-3 * radius
+
+
 def test_point_to_plane_refit_keeps_reflection():
     base = np.array([
         [0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.6, 0.0],
@@ -466,11 +555,13 @@ def test_point_to_plane_refit_keeps_reflection():
     start = RigidTransform(
         y_rotation(0.05) @ mirror, np.array([0.02, -0.01, 0.015])
     )
-    fit, rmsd = _refit(
-        src, dst, mesh.face_normals[faces], cKDTree(dst), start, 12,
+    tree = cKDTree(dst)
+    fit = _refit(
+        [(src, 0)], [dst], [mesh.face_normals[faces]], [tree], start, 12,
         mesh.bounding_center, mesh.bounding_radius,
     )
     assert fit.det == -1.0
     gap = np.linalg.norm(fit.apply(base) - base @ mirror.T, axis=1).max()
     assert gap < 1e-3 * mesh.bounding_radius
+    rmsd = np.sqrt(np.mean(tree.query(fit.apply(src))[0] ** 2))
     assert rmsd < 0.02 * mesh.bounding_radius
