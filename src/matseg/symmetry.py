@@ -414,22 +414,17 @@ def detect_symmetries(
     for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
         if not pairs:
             continue
-        fit = _refit(
-            [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs], targets, normals, trees,
-            rep, refit_iter, center, radius,
-        )
+        moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
+        fit = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
         if _is_trivial(fit):
             continue
-        for c, j in pairs:
+        for (c, j), pair in zip(pairs, moving):
             dist = trees[j].query(fit.apply(targets[c]))[0]
             rmsd = float(np.sqrt(np.mean(dist * dist)))
             if rmsd >= accept:
                 continue
             if c == j:
-                probe = _refit(
-                    [(targets[c][::_REFIT_STRIDE], c)], targets, normals, trees,
-                    fit, refit_iter, center, radius,
-                )
+                probe = _refit([pair], targets, normals, trees, fit, refit_iter, center, radius)
                 slide = probe.apply(sources[c]) - fit.apply(sources[c])
                 if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
                     continue
