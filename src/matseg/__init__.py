@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .materials import MATERIALS, MaterialLabelSet
 from .mesh import (
-    FaceAdjacency,
+    FacePairs,
     LabeledMesh,
     attach_labels,
     build_mesh,
@@ -20,7 +20,7 @@ from .sampling import (
     subsample_even,
     visibility_filter,
 )
-from .geodesics import DistancePair, estimate_diameter, geodesic_pairs
+from .geodesics import estimate_diameter, geodesic_pairs
 from .symmetry import (
     DetectedSymmetry,
     RigidTransform,
@@ -52,7 +52,7 @@ from .synth import SynthSpec, benchmark_suite, corrupt_unaries, generate, mirror
 __all__ = [
     "MATERIALS",
     "MaterialLabelSet",
-    "FaceAdjacency",
+    "FacePairs",
     "LabeledMesh",
     "attach_labels",
     "build_mesh",
@@ -65,7 +65,6 @@ __all__ = [
     "sample_surface_points",
     "subsample_even",
     "visibility_filter",
-    "DistancePair",
     "estimate_diameter",
     "geodesic_pairs",
     "DetectedSymmetry",

@@ -34,10 +34,9 @@ from scipy.special import expit, logsumexp
 
 from .config import CrfConfig
 from .errors import InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
-from .geodesics import DistancePair
 from .jsonl import check_record, finite_array, one_of, read_json, read_jsonl, unit, write_json, write_jsonl
 from .materials import MATERIALS, NUM_MATERIALS, material_indices
-from .mesh import FaceAdjacency, LabeledMesh
+from .mesh import FacePairs, LabeledMesh
 from .symmetry import SymmetryPair
 
 FAMILIES = ("adj", "dist", "sym")
@@ -193,8 +192,8 @@ def build_crf(
     mesh: LabeledMesh,
     sample_positions: np.ndarray,
     sample_probs: np.ndarray,
-    adjacency: FaceAdjacency | None = None,
-    dist_pairs: list[DistancePair] | None = None,
+    adjacency: FacePairs | None = None,
+    dist_pairs: FacePairs | None = None,
     sym_pairs: list[SymmetryPair] | None = None,
     weights: CrfWeights | None = None,
     truth: np.ndarray | None = None,
@@ -219,12 +218,10 @@ def build_crf(
 
     edges: dict[str, np.ndarray] = {}
     coeffs: dict[str, np.ndarray] = {}
-    if adjacency is not None and len(adjacency.pairs):
-        edges["adj"] = adjacency.pairs.astype(np.int64)
-        coeffs["adj"] = adjacency.omega.astype(np.float64) ** 2
-    if dist_pairs:
-        edges["dist"] = np.array([[p.face_a, p.face_b] for p in dist_pairs], dtype=np.int64)
-        coeffs["dist"] = np.array([p.distance for p in dist_pairs]) ** 2
+    for family, face_pairs in (("adj", adjacency), ("dist", dist_pairs)):
+        if face_pairs:
+            edges[family] = face_pairs.pairs
+            coeffs[family] = face_pairs.value ** 2
     if sym_pairs:
         edges["sym"] = np.array([[p.face_a, p.face_b] for p in sym_pairs], dtype=np.int64)
         coeffs["sym"] = np.array([p.s for p in sym_pairs]) ** 2

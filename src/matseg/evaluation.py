@@ -182,9 +182,11 @@ def build_report(
     seed: int = 0,
 ) -> EvalReport:
     """Assemble the full report; retrieval treats the points as both queries
-    and database (class-balanced)."""
+    and database (class-balanced). A k larger than the balanced database is
+    left out of the report; precision_at_k itself raises on it."""
     report = EvalReport()
-    for k in ks:
+    served = len(balance_database(desc_truths, seed=seed))
+    for k in (k for k in ks if k <= served):
         report.precision[int(k)] = precision_at_k(
             descriptors, desc_truths, descriptors, desc_truths, int(k), seed=seed
         )

@@ -1,4 +1,4 @@
-"""Indexed triangle meshes with named components, plus face adjacency.
+"""Indexed triangle meshes with named components, plus face pairs.
 
 A mesh is immutable after construction: geometry-derived quantities (normals,
 areas, bounding sphere) are computed once. Components come from OBJ groups and
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csr_matrix, triu
 
 from .errors import EmptyMeshError, MalformedObjError, NonFiniteGeometryError, UnknownComponentError
 from .jsonl import read_json, write_json
@@ -121,7 +121,7 @@ def build_mesh(
     ok = ~degenerate
     normals[ok] = cross[ok] / cross_norm[ok, None]
     if degenerate.any():
-        normals = _repair_degenerate_normals(vertices, faces, normals, areas, degenerate)
+        normals = _repair_degenerate_normals(faces, normals, areas, degenerate)
 
     return LabeledMesh(
         vertices=vertices,
@@ -136,38 +136,30 @@ def build_mesh(
     )
 
 
-def _repair_degenerate_normals(vertices, faces, normals, areas, degenerate):
+def _repair_degenerate_normals(faces, normals, areas, degenerate):
     """Give zero-area faces the area-weighted average of edge-neighbor normals.
 
     Slivers are kept (dropping faces would break component indexing); a face
-    with no usable neighbor falls back to the upright axis.
+    with no usable neighbor falls back to the upright axis. A neighbor counts
+    once per pair of edge slots the two faces share; degenerate faces still
+    have zero normals here, so they lend nothing.
     """
-    edge_map = _edge_face_map(faces)
-    neighbor_lists: list[list[int]] = [[] for _ in range(len(faces))]
-    for face_list in edge_map.values():
-        for a in face_list:
-            for b in face_list:
-                if a != b:
-                    neighbor_lists[a].append(b)
-
+    acc = (_shared_edges(faces) @ (areas[:, None] * normals))[degenerate]
+    norm = np.linalg.norm(acc, axis=1)[:, None]
     normals = normals.copy()
-    for f in np.flatnonzero(degenerate):
-        acc = np.zeros(3)
-        for nb in neighbor_lists[f]:
-            if not degenerate[nb]:
-                acc += areas[nb] * normals[nb]
-        norm = np.linalg.norm(acc)
-        normals[f] = acc / norm if norm > 1e-300 else UPRIGHT_AXIS
+    normals[degenerate] = np.where(norm > 1e-300, acc / np.maximum(norm, 1e-300), UPRIGHT_AXIS)
     return normals
 
 
-def _edge_face_map(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for f, (a, b, c) in enumerate(faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, []).append(f)
-    return edge_map
+def _shared_edges(faces: np.ndarray) -> csr_matrix:
+    """(F, F) matrix whose entry (a, b) counts the pairs of edge slots, one
+    of a's and one of b's, on the same undirected edge: the table of every
+    face's three sorted edge rows against the face that owns them, times its
+    transpose."""
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, edge = np.unique(edges[:, 0] * (faces.max() + 1) + edges[:, 1], return_inverse=True)
+    slots = csr_matrix((np.ones(len(edges)), (np.arange(len(edges)) // 3, edge)))
+    return slots @ slots.T
 
 
 def load_obj(path: str) -> LabeledMesh:
@@ -287,36 +279,40 @@ def load_labels(path: str) -> dict[str, list[str]]:
 
 
 @dataclass(frozen=True)
-class FaceAdjacency:
-    """Edge-sharing face pairs with their dihedral term.
+class FacePairs:
+    """Unordered face pairs with one value each.
 
-    pairs : (E, 2) int array, each row (f, f') with f < f'
-    omega : (E,) angle between face normals divided by pi, in [0, 1]
+    pairs : (E, 2) int64 array, rows (f, f') with f < f' in increasing order
+    value : (E,) float array, e.g. the dihedral term of edge-sharing faces
+        or the normalized geodesic distance of geodesically close ones
     """
 
     pairs: np.ndarray
-    omega: np.ndarray
+    value: np.ndarray
 
-    @property
-    def n_pairs(self) -> int:
+    def __len__(self) -> int:
         return len(self.pairs)
 
 
-def compute_adjacency(mesh: LabeledMesh) -> FaceAdjacency:
-    """Build the adjacency pair list of a mesh.
+def first_per_pair(a: np.ndarray, b: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Row indices of one row per unordered pair {a, b}, in increasing pair
+    order: the row with the smallest key, the first such row on ties."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((key, hi, lo))  # stable, so equal keys keep row order
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
+    return order[first]
+
+
+def compute_adjacency(mesh: LabeledMesh) -> FacePairs:
+    """Edge-sharing face pairs, each with the angle between the two face
+    normals divided by pi, in [0, 1].
 
     Non-manifold edges (more than two incident faces) connect every incident
     face pair, so smoothing still flows across repository-mesh defects.
     """
-    pair_set = {(min(a, b), max(a, b)) for face_list in _edge_face_map(mesh.faces).values()
-                for a, b in combinations(face_list, 2) if a != b}
-
-    if pair_set:
-        pairs = np.array(sorted(pair_set), dtype=np.int64)
-        dots = np.einsum("ij,ij->i", mesh.face_normals[pairs[:, 0]], mesh.face_normals[pairs[:, 1]])
-        omega = np.arccos(np.clip(dots, -1.0, 1.0)) / np.pi
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-        omega = np.zeros(0)
-
-    return FaceAdjacency(pairs=pairs, omega=omega)
+    upper = triu(_shared_edges(mesh.faces), k=1).tocoo()
+    order = np.lexsort((upper.col, upper.row))
+    pairs = np.stack([upper.row[order], upper.col[order]], axis=1).astype(np.int64)
+    dots = np.einsum("ij,ij->i", mesh.face_normals[pairs[:, 0]], mesh.face_normals[pairs[:, 1]])
+    return FacePairs(pairs=pairs, value=np.arccos(np.clip(dots, -1.0, 1.0)) / np.pi)

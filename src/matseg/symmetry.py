@@ -36,7 +36,7 @@ from scipy.spatial.transform import Rotation
 
 from .config import SymmetryConfig
 from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
-from .mesh import UPRIGHT_AXIS, LabeledMesh, y_rotation
+from .mesh import UPRIGHT_AXIS, LabeledMesh, first_per_pair, y_rotation
 from .sampling import draw_surface
 
 _N_INIT_ROTATIONS = 8
@@ -573,13 +573,7 @@ def symmetry_pairs(
     fa, fb, s, tid = (np.concatenate(column) for column in zip(*found))
     keep = (s <= residual_cutoff) & (fa != fb)
     fa, fb, s, tid = fa[keep], fb[keep], s[keep], tid[keep]
-    lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
-    # sorted by unordered pair, then residual; lexsort is stable, so equal
-    # residuals keep the order of the symmetries and the first one wins
-    order = np.lexsort((s, hi, lo))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
-    pick = order[first]
+    pick = first_per_pair(fa, fb, s)  # rows in symmetry order, so the first wins ties
     return [
         SymmetryPair(*pair)
         for pair in zip(fa[pick].tolist(), fb[pick].tolist(), s[pick].tolist(), tid[pick].tolist())

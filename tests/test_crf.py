@@ -112,7 +112,7 @@ def test_build_crf_nearest_sample_unaries(cube):
         assert np.allclose(g.unary[:, f], want)
     assert len(top_faces) == 2
     assert g.edges["adj"].shape == (18, 2)
-    assert np.array_equal(g.coeffs["adj"], compute_adjacency(cube).omega ** 2)
+    assert np.array_equal(g.coeffs["adj"], compute_adjacency(cube).value ** 2)
 
 
 def test_build_crf_single_face_no_edges():

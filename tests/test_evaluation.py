@@ -218,3 +218,22 @@ def test_report_round_trip(tmp_path):
     for i, row in enumerate(rows[1:]):
         got = [float(x) for x in row[1:]]
         assert np.allclose(got, report.confusion[i], atol=1e-6)
+
+
+def test_report_leaves_out_k_beyond_balanced_database():
+    # 450 points, the rarest class has 17, so the balanced database holds 85
+    rng = np.random.default_rng(11)
+    labels = np.repeat(np.arange(5), [172, 142, 95, 24, 17])
+    truths = np.zeros((450, 5))
+    truths[np.arange(450), labels] = 1.0
+    desc = rng.normal(size=(450, 8))
+    assert len(balance_database(truths)) == 85
+
+    report = build_report(desc, truths, None, None)
+    assert sorted(report.precision) == [1, 30]
+    for k in (1, 30):
+        want = precision_at_k(desc, truths, desc, truths, k)
+        assert np.array_equal(report.precision[k][0], want[0], equal_nan=True)
+        assert report.precision[k][1] == want[1]
+    with pytest.raises(InvalidKError, match="k=100 exceeds database size 85"):
+        precision_at_k(desc, truths, desc, truths, 100)

@@ -2,6 +2,8 @@ import heapq
 import math
 
 import numpy as np
+import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from matseg.geodesics import (
     dual_graph,
@@ -11,8 +13,9 @@ from matseg.geodesics import (
     save_distance_pairs,
 )
 from matseg.mesh import build_mesh, compute_adjacency
+from matseg.synth import benchmark_suite, generate
 
-from conftest import strip_mesh
+from conftest import strip_mesh, subdivide
 
 
 def naive_all_pairs(mesh, adjacency):
@@ -40,6 +43,37 @@ def naive_all_pairs(mesh, adjacency):
     return dist
 
 
+def loop_geodesic_pairs(mesh, adjacency, radius_fraction=0.1, cap=16, seed=0):
+    """Reference: one Python pass per source face, a pair kept by the first
+    source that reaches it, as (face_a, face_b, distance) tuples."""
+    graph = dual_graph(mesh, adjacency)
+    diameter = estimate_diameter(mesh, graph)
+    if diameter <= 0.0:
+        return []
+    rng = np.random.default_rng(seed)
+    n = mesh.n_faces
+    kept = {}
+    for start in range(0, n, 256):
+        sources = np.arange(start, min(start + 256, n))
+        dist = dijkstra(graph, directed=False, indices=sources, limit=radius_fraction * diameter)
+        for row, src in enumerate(sources):
+            d = dist[row]
+            reach = np.flatnonzero(np.isfinite(d))
+            reach = reach[reach != src]
+            if reach.size > cap:
+                reach = reach[rng.permutation(reach.size)]
+                reach = reach[np.argsort(d[reach], kind="stable")[:cap]]
+            for other in reach:
+                key = (int(src), int(other)) if src < other else (int(other), int(src))
+                if key not in kept:
+                    kept[key] = float(min(1.0, max(0.0, d[other] / diameter)))
+    return [(a, b, v) for (a, b), v in sorted(kept.items())]
+
+
+def as_tuples(pairs):
+    return [(a, b, v) for (a, b), v in zip(pairs.pairs.tolist(), pairs.value.tolist())]
+
+
 def test_dual_graph_edge_weight_is_centroid_distance():
     v = np.array([
         [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
@@ -60,7 +94,8 @@ def test_single_face_graph_has_no_edges():
     mesh = build_mesh(v, np.array([[0, 1, 2]]), ("s",), np.zeros(1, dtype=np.int64))
     graph = dual_graph(mesh, compute_adjacency(mesh))
     assert graph.nnz == 0
-    assert geodesic_pairs(mesh, compute_adjacency(mesh)) == []
+    pairs = geodesic_pairs(mesh, compute_adjacency(mesh))
+    assert len(pairs) == 0 and pairs.pairs.shape == (0, 2)
 
 
 def test_strip_all_pairs_match_oracle():
@@ -72,13 +107,13 @@ def test_strip_all_pairs_match_oracle():
     ref = naive_all_pairs(mesh, adjacency)
     diameter = float(ref[np.isfinite(ref)].max())
     assert abs(estimate_diameter(mesh, dual_graph(mesh, adjacency)) - diameter) < 1e-12
-    for p in pairs:
-        assert p.face_a < p.face_b
-        assert abs(p.distance - ref[p.face_a, p.face_b] / diameter) < 1e-12
-        assert 0.0 < p.distance <= 1.0
+    for (a, b), v in zip(pairs.pairs, pairs.value):
+        assert a < b
+        assert abs(v - ref[a, b] / diameter) < 1e-12
+        assert 0.0 < v <= 1.0
 
     # along the dual path, distance from any source grows with index gap
-    lookup = {(p.face_a, p.face_b): p.distance for p in pairs}
+    lookup = {(a, b): v for (a, b), v in zip(pairs.pairs.tolist(), pairs.value.tolist())}
 
     def d(a, b):
         return lookup[(min(a, b), max(a, b))]
@@ -97,8 +132,8 @@ def test_triangle_inequality_on_strip():
     pairs = geodesic_pairs(mesh, adjacency, radius_fraction=1.0, cap=10 ** 6)
     n = mesh.n_faces
     d = np.zeros((n, n))
-    for p in pairs:
-        d[p.face_a, p.face_b] = d[p.face_b, p.face_a] = p.distance
+    a, b = pairs.pairs.T
+    d[a, b] = d[b, a] = pairs.value
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -115,9 +150,9 @@ def test_components_never_paired():
     comp = np.array([0] * m1.n_faces + [1] * m1.n_faces)
     mesh = build_mesh(verts, faces, ("a", "b"), comp)
     pairs = geodesic_pairs(mesh, compute_adjacency(mesh), radius_fraction=1.0, cap=10 ** 6)
-    assert pairs
-    for p in pairs:
-        assert comp[p.face_a] == comp[p.face_b]
+    assert len(pairs)
+    for a, b in pairs.pairs:
+        assert comp[a] == comp[b]
 
 
 def test_cap_limits_pair_count():
@@ -127,9 +162,9 @@ def test_cap_limits_pair_count():
     pairs = geodesic_pairs(mesh, adjacency, radius_fraction=1.0, cap=cap)
     assert len(pairs) <= mesh.n_faces * cap
     per_face = {}
-    for p in pairs:
-        per_face[p.face_a] = per_face.get(p.face_a, 0) + 1
-        per_face[p.face_b] = per_face.get(p.face_b, 0) + 1
+    for a, b in pairs.pairs.tolist():
+        per_face[a] = per_face.get(a, 0) + 1
+        per_face[b] = per_face.get(b, 0) + 1
     # dedup can push a face above cap only via partners that chose it
     assert all(v <= 2 * cap for v in per_face.values())
 
@@ -139,7 +174,7 @@ def test_geodesic_pairs_deterministic():
     adjacency = compute_adjacency(mesh)
     a = geodesic_pairs(mesh, adjacency, cap=4, seed=3)
     b = geodesic_pairs(mesh, adjacency, cap=4, seed=3)
-    assert [(p.face_a, p.face_b, p.distance) for p in a] == [(p.face_a, p.face_b, p.distance) for p in b]
+    assert as_tuples(a) == as_tuples(b)
 
 
 def test_distance_pairs_round_trip(tmp_path):
@@ -148,6 +183,30 @@ def test_distance_pairs_round_trip(tmp_path):
     path = tmp_path / "pairs.jsonl"
     save_distance_pairs(str(path), pairs)
     back = load_distance_pairs(str(path))
-    assert [(p.face_a, p.face_b, p.distance) for p in back] == [
-        (p.face_a, p.face_b, p.distance) for p in pairs
-    ]
+    assert as_tuples(back) == as_tuples(pairs)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_strip_pairs_match_per_face_loop(cap, seed):
+    mesh = strip_mesh(6)
+    adjacency = compute_adjacency(mesh)
+    for radius_fraction in (0.3, 1.0):
+        want = loop_geodesic_pairs(mesh, adjacency, radius_fraction, cap, seed)
+        assert as_tuples(geodesic_pairs(mesh, adjacency, radius_fraction, cap, seed)) == want
+
+
+def test_subdivided_table_pairs_match_per_face_loop():
+    # an unjittered table: rows past the cap, and exact distance ties at the
+    # cap boundary that only the seeded shuffle breaks
+    mesh = subdivide(generate(benchmark_suite()[0]))
+    adjacency = compute_adjacency(mesh)
+    graph = dual_graph(mesh, adjacency)
+    dist = dijkstra(graph, directed=False, limit=0.1 * estimate_diameter(mesh, graph))
+    np.fill_diagonal(dist, np.inf)
+    ordered = np.sort(dist, axis=1)
+    assert (ordered[:, 16] < np.inf).sum() > 100
+    assert ((ordered[:, 15] == ordered[:, 16]) & (ordered[:, 16] < np.inf)).sum() > 10
+    for seed in (0, 1):
+        assert as_tuples(geodesic_pairs(mesh, adjacency, seed=seed)) == loop_geodesic_pairs(
+            mesh, adjacency, seed=seed)

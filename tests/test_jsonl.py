@@ -22,10 +22,10 @@ from matseg.crf import (
 )
 from matseg.descriptor import DescriptorNet
 from matseg.errors import MatsegError
-from matseg.geodesics import DistancePair, load_distance_pairs, save_distance_pairs
+from matseg.geodesics import load_distance_pairs, save_distance_pairs
 from matseg.jsonl import write_jsonl
 from matseg.materials import MATERIALS
-from matseg.mesh import attach_labels, load_labels, save_labels
+from matseg.mesh import FacePairs, attach_labels, load_labels, save_labels
 from matseg.sampling import load_samples, sample_surface_points, save_samples
 from matseg.symmetry import (
     DetectedSymmetry,
@@ -106,10 +106,10 @@ FORMATS = {
     ),
     "geodesic_pairs": (
         lambda path: save_distance_pairs(
-            path, [DistancePair(0, 1, 0.25), DistancePair(1, 3, 0.5), DistancePair(2, 7, 0.125)]),
+            path, FacePairs(np.array([[0, 1], [1, 3], [2, 7]]), np.array([0.25, 0.5, 0.125]))),
         load_distance_pairs,
         save_distance_pairs,
-        list,
+        lambda pairs: (pairs.pairs.tolist(), pairs.value.tolist()),
     ),
     "symmetry_pairs": (
         lambda path: save_symmetry_pairs(

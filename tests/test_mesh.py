@@ -84,20 +84,20 @@ def test_cube_adjacency_pair_count(cube):
     adj = compute_adjacency(cube)
     # closed 12-triangle cube: 12*3 edge slots, every edge shared by two
     # faces, so 18 distinct shared edges
-    assert adj.n_pairs == 18
+    assert len(adj) == 18
 
 
 def test_adjacency_canonical_and_irreflexive(cube):
     adj = compute_adjacency(cube)
     assert np.all(adj.pairs[:, 0] < adj.pairs[:, 1])
     as_set = {(int(a), int(b)) for a, b in adj.pairs}
-    assert len(as_set) == adj.n_pairs
+    assert len(as_set) == len(adj)
 
 
 def test_omega_recomputes_from_normals(cube):
     adj = compute_adjacency(cube)
     n = cube.face_normals
-    for (a, b), w in zip(adj.pairs, adj.omega):
+    for (a, b), w in zip(adj.pairs, adj.value):
         dot = float(np.clip(np.dot(n[a], n[b]), -1.0, 1.0))
         assert math.acos(dot) / math.pi == w
 
@@ -109,8 +109,8 @@ def test_omega_coplanar_and_right_angle():
     faces = np.array([[0, 1, 2], [1, 3, 2]])
     flat = build_mesh(vertices, faces, ("s",), np.zeros(2, dtype=np.int64))
     adj = compute_adjacency(flat)
-    assert adj.n_pairs == 1
-    assert adj.omega[0] == 0.0
+    assert len(adj) == 1
+    assert adj.value[0] == 0.0
 
     vertices = np.array([
         [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
@@ -118,8 +118,8 @@ def test_omega_coplanar_and_right_angle():
     faces = np.array([[0, 1, 2], [0, 3, 1]])
     bent = build_mesh(vertices, faces, ("s",), np.zeros(2, dtype=np.int64))
     adj = compute_adjacency(bent)
-    assert adj.n_pairs == 1
-    assert abs(adj.omega[0] - 0.5) < 1e-12
+    assert len(adj) == 1
+    assert abs(adj.value[0] - 0.5) < 1e-12
 
 
 def test_nonmanifold_edge_connects_all_pairs():
@@ -144,6 +144,17 @@ def test_zero_area_face_borrows_neighbor_normal():
     assert mesh.face_areas[1] == 0.0
     assert abs(np.linalg.norm(mesh.face_normals[1]) - 1.0) < 1e-9
     assert abs(abs(np.dot(mesh.face_normals[1], mesh.face_normals[0])) - 1.0) < 1e-9
+
+
+def test_face_with_a_repeated_vertex_is_adjacent_once():
+    # face 0 repeats vertex 0, so it owns two slots of the edge (0, 1) it
+    # shares with face 1
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]])
+    mesh = build_mesh(vertices, np.array([[0, 0, 1], [0, 1, 2]]), ("s",), np.zeros(2, dtype=np.int64))
+    adj = compute_adjacency(mesh)
+    assert adj.pairs.tolist() == [[0, 1]]
+    assert adj.value[0] < 1e-8
+    assert np.allclose(mesh.face_normals[0], mesh.face_normals[1], rtol=0.0, atol=1e-12)
 
 
 def test_attach_labels(cube):
