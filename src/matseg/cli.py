@@ -357,8 +357,8 @@ def _cmd_infer(args, config: PipelineConfig) -> int:
     out = _out_path(args, args.shape, PREDICTIONS_FILE)
     save_face_predictions(out, marginals, predictions)
     log.info(
-        "infer: %d faces, converged=%s after %d sweeps -> %s",
-        graph.n_faces, marginals.converged, marginals.sweeps, out,
+        "infer: %d faces, converged=%s after %d sweeps (%d step halvings) -> %s",
+        graph.n_faces, marginals.converged, marginals.sweeps, marginals.halvings, out,
     )
     return 0
 

@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .config import GeodesicConfig
-from .jsonl import read_jsonl, unit, write_jsonl
+from .jsonl import int64, read_jsonl, unit, write_jsonl
 from .mesh import FacePairs, LabeledMesh, first_per_pair
 from .sampling import farthest_points
 
@@ -102,7 +102,7 @@ def save_distance_pairs(path: str, pairs: FacePairs) -> None:
 
 
 def load_distance_pairs(path: str) -> FacePairs:
-    records = list(read_jsonl(path, {"face_a": int, "face_b": int, "d": unit}))
+    records = list(read_jsonl(path, {"face_a": (int, int64), "face_b": (int, int64), "d": unit}))
     return FacePairs(
         np.array([[rec["face_a"], rec["face_b"]] for rec in records], dtype=np.int64).reshape(-1, 2),
         np.array([rec["d"] for rec in records], dtype=np.float64),

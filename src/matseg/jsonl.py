@@ -34,6 +34,13 @@ def unit(value) -> float:
     return value
 
 
+def int64(value: int) -> int:
+    """An int that an int64 array holds, else ValueError; a parse for ``int``."""
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
 def one_of(*choices):
     """A parse that passes the given values only, else raises ValueError."""
     def parse(value):

@@ -35,7 +35,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .config import SymmetryConfig
-from .jsonl import check_record, finite_array, read_json, read_jsonl, unit, write_json, write_jsonl
+from .jsonl import check_record, finite_array, int64, read_json, read_jsonl, unit, write_json, write_jsonl
 from .mesh import UPRIGHT_AXIS, LabeledMesh, first_per_pair, y_rotation
 from .sampling import draw_surface
 
@@ -624,7 +624,7 @@ def save_symmetry_pairs(path: str, pairs: list[SymmetryPair]) -> None:
 
 
 def load_symmetry_pairs(path: str) -> list[SymmetryPair]:
-    fields = {"face_a": int, "face_b": int, "s": unit, "transform_id": int}
+    fields = {"face_a": (int, int64), "face_b": (int, int64), "s": unit, "transform_id": (int, int64)}
     return [
         SymmetryPair(rec["face_a"], rec["face_b"], rec["s"], rec["transform_id"])
         for rec in read_jsonl(path, fields)

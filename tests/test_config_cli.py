@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -175,7 +177,7 @@ def test_cli_rejects_values_a_stage_cannot_run_with(sampled_shapes, caplog, comm
     assert not (sampled_shapes / "result").exists()
 
 
-def test_cli_sample_then_infer_smoke(tmp_path):
+def test_cli_sample_then_infer_smoke(tmp_path, caplog):
     spec = write_spec(tmp_path)
     out = tmp_path / "shape"
     assert cli.main(["synth", "--spec", spec, "--out", str(out)]) == 0
@@ -189,7 +191,10 @@ def test_cli_sample_then_infer_smoke(tmp_path):
         for i in range(len(samples)):
             rec = {"sample_index": i, "probs": {n: 0.2 for n in names}}
             fh.write(json.dumps(rec) + "\n")
+    caplog.set_level(logging.INFO, logger="matseg")
     assert cli.main(["infer", "--shape", str(out)]) == 0
+    assert any(re.search(r"converged=True after \d+ sweeps \(\d+ step halvings\)", r.getMessage())
+               for r in caplog.records)
     preds = [json.loads(l) for l in
              (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(preds) == load_obj(str(out / "mesh.obj")).n_faces
@@ -288,6 +293,8 @@ def replace_line(n, old, new):
     ("geodesic_pairs.jsonl", replace_line(3, '"d": ', '"d": NaN, "x": '),
      "line 3: expected {face_a: int, face_b: int, d: unit}"),
     ("geodesic_pairs.jsonl", lambda lines: lines[:-1] + [lines[-1][:20]], "invalid JSON"),
+    ("geodesic_pairs.jsonl", replace_line(1, '"face_a": ', '"face_a": 99999999999999999999, "x": '),
+     "line 1: 99999999999999999999 does not fit in 64 bits"),
     ("samples.jsonl", replace_line(4, '"face": ', '"face": -1, "x": '),
      "line 4: face -1 is not one of the mesh's"),
     ("samples.jsonl", replace_line(5, '"face": ', '"face": 1000000, "x": '),

@@ -6,6 +6,7 @@ import dataclasses
 import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from matseg.crf import (
     save_sample_probs,
 )
 from matseg.descriptor import DescriptorNet
-from matseg.errors import MatsegError
+from matseg.errors import InterchangeError, MatsegError
 from matseg.geodesics import load_distance_pairs, save_distance_pairs
 from matseg.jsonl import write_jsonl
 from matseg.materials import MATERIALS
@@ -211,3 +212,13 @@ def test_only_jsonl_imports_json():
             if any(n == "json" or n.startswith("json.") for n in names if n):
                 importers.add(path.name)
     assert importers == {"jsonl.py"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("face_a", 2**63), ("face_b", 99999999999999999999), ("transform_id", -2**63 - 1)])
+def test_symmetry_pairs_reject_ids_beyond_int64(tmp_path, key, value):
+    path = str(tmp_path / "symmetry_pairs.jsonl")
+    records = [{"face_a": 0, "face_b": 4, "s": 0.0625, "transform_id": 0}] * 2
+    write_jsonl(path, records[:1] + [{**records[1], key: value}])
+    with pytest.raises(InterchangeError, match=f"line 2: {value} does not fit in 64 bits"):
+        load_symmetry_pairs(path)
