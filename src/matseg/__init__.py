@@ -15,7 +15,7 @@ from .mesh import (
     save_obj,
 )
 from .sampling import (
-    SurfaceSample,
+    Samples,
     sample_surface_points,
     subsample_even,
     visibility_filter,
@@ -61,7 +61,7 @@ __all__ = [
     "load_obj",
     "save_labels",
     "save_obj",
-    "SurfaceSample",
+    "Samples",
     "sample_surface_points",
     "subsample_even",
     "visibility_filter",

@@ -29,7 +29,7 @@ from .crf import (
     save_sample_probs,
     train_crf,
 )
-from .descriptor import DescriptorNet, extract_features, label_matrix, predict_probs, train_descriptor
+from .descriptor import DescriptorNet, extract_features, predict_probs, train_descriptor
 from .errors import ConfigError, InterchangeError, MatsegError, UnknownComponentError
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
@@ -38,7 +38,6 @@ from .materials import MaterialLabelSet, multihot
 from .mesh import attach_labels, compute_adjacency, load_labels, load_obj, save_labels, save_obj
 from .sampling import (
     load_samples,
-    positions_of,
     sample_surface_points,
     save_samples,
     subsample_even,
@@ -269,7 +268,7 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
         mesh = _load_shape(d)
         samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
         feats.append(extract_features(mesh, samples))
-        labels.append(label_matrix(samples))
+        labels.append(samples.labels)
     features = np.vstack(feats)
     truth = np.vstack(labels)
     if len(features) > cfg.max_train_points:
@@ -319,7 +318,7 @@ def _build_shape_graph(d: str, weights=None, with_truth=False):
     truth = multihot(mesh.labels)[mesh.face_component].T if with_truth else None
     return build_crf(
         mesh,
-        positions_of(samples),
+        samples.positions,
         probs,
         adjacency=compute_adjacency(mesh),
         dist_pairs=dist_pairs,

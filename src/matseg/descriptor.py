@@ -21,9 +21,9 @@ from .bvh import TriangleBvh
 from .config import FEATURE_DIM, LAMBDA_PRESETS, DescriptorConfig
 from .errors import InterchangeError, MissingDataError
 from .jsonl import finite_array, one_of, read_json, write_json
-from .materials import NUM_MATERIALS, multihot
+from .materials import NUM_MATERIALS
 from .mesh import UPRIGHT_AXIS, LabeledMesh
-from .sampling import SurfaceSample, positions_of
+from .sampling import Samples
 
 FEATURE_RADII = (0.25, 0.5, 1.0)
 _ADAM_B1 = 0.9
@@ -39,7 +39,7 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SECOND = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
-def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndarray:
+def extract_features(mesh: LabeledMesh, samples: Samples) -> np.ndarray:
     """64-dim feature vectors of the samples, one row each.
 
     Per radius (0.25/0.5/1.0 of the bounding radius): neighbor density,
@@ -50,8 +50,8 @@ def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndar
     """
     if not samples:
         return np.zeros((0, FEATURE_DIM))
-    pos = positions_of(samples)
-    normals = np.array([s.normal for s in samples])
+    pos = samples.positions
+    normals = mesh.face_normals[samples.faces]
     radius = mesh.bounding_radius
     center = mesh.bounding_center
     tree = cKDTree(pos)
@@ -77,21 +77,20 @@ def extract_features(mesh: LabeledMesh, samples: list[SurfaceSample]) -> np.ndar
     comp_count = np.zeros(mesh.n_components)
     centroids = mesh.face_centroids()
     comp_centroid = np.zeros((mesh.n_components, 3))
-    for c in range(mesh.n_components):
-        faces = mesh.component_faces(c)
-        comp_area[c] = mesh.face_areas[faces].sum()
-        comp_count[c] = len(faces)
-        w = mesh.face_areas[faces]
-        if w.sum() > 0:
-            comp_centroid[c] = (centroids[faces] * w[:, None]).sum(axis=0) / w.sum()
     comp_lo = np.zeros((mesh.n_components, 3))
     comp_hi = np.zeros((mesh.n_components, 3))
     for c in range(mesh.n_components):
-        verts = mesh.vertices[np.unique(mesh.faces[mesh.component_faces(c)])]
+        faces = mesh.component_faces(c)
+        w = mesh.face_areas[faces]
+        comp_area[c] = w.sum()
+        comp_count[c] = len(faces)
+        if comp_area[c] > 0:
+            comp_centroid[c] = (centroids[faces] * w[:, None]).sum(axis=0) / comp_area[c]
+        verts = mesh.vertices[np.unique(mesh.faces[faces])]
         comp_lo[c] = verts.min(axis=0)
         comp_hi[c] = verts.max(axis=0)
 
-    comp = np.array([mesh.face_component[s.face] for s in samples])
+    comp = mesh.face_component[samples.faces]
     out[:, g + 8] = comp_area[comp] / total_area
     out[:, g + 9] = comp_count[comp] / mesh.n_faces
     out[:, g + 10] = np.linalg.norm(pos - comp_centroid[comp], axis=1) / radius
@@ -173,9 +172,10 @@ def _thickness(bvh, pos, normals, radius) -> tuple[np.ndarray, np.ndarray]:
     return depth[0] / cap, depth[1:].sum(axis=0) / (_THICKNESS_CONE * cap)
 
 
-def label_matrix(samples: list[SurfaceSample]) -> np.ndarray:
-    """Multi-hot (S, M) ground-truth matrix from sample label sets."""
-    return multihot([s.labels for s in samples])
+# the benchmark harness imports label_matrix (bench/workloads.py)
+def label_matrix(samples: Samples) -> np.ndarray:
+    """Multi-hot (S, M) ground-truth matrix of the samples."""
+    return samples.labels
 
 
 class DescriptorNet:

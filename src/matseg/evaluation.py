@@ -121,11 +121,9 @@ def confusion_matrix(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
         )
     n_classes = truths.shape[1]
     mat = np.zeros((n_classes, n_classes))
-    for i in range(len(predictions)):
-        rows = np.flatnonzero(truths[i] > 0)
-        if len(rows) == 0:
-            continue
-        mat[rows, predictions[i]] += 1.0 / len(rows)
+    # (point, truth row) entries in row order, so each cell sums in point order
+    point, row = np.nonzero(truths > 0)
+    np.add.at(mat, (row, predictions[point]), 1.0 / np.bincount(point)[point])
     sums = mat.sum(axis=1, keepdims=True)
     return np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
 

@@ -1,4 +1,5 @@
-"""The fixed material vocabulary and label sets attached to components and samples.
+"""The fixed material vocabulary, label sets attached to components, and
+their 0/1 rows over the vocabulary (``multihot``), as samples carry them.
 
 The five materials have a fixed canonical order; argmax tie-breaking and every
 array whose axis runs over materials follow it.
@@ -89,6 +90,3 @@ class MaterialLabelSet:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)
-
-
-EMPTY_LABELS = MaterialLabelSet()

@@ -2,13 +2,14 @@
 
 Mirrors the train/test point protocol: draw area-weighted points, discard the
 externally invisible ones, then thin to a fixed count with farthest-point
-subsampling. All randomness flows through an explicit seed.
+subsampling. The samples are one table of arrays, ``Samples``, with a row
+per point. All randomness flows through an explicit seed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -17,30 +18,39 @@ from .bvh import TriangleBvh
 from .config import SamplingConfig
 from .errors import EmptyMeshError, InvalidKError
 from .jsonl import finite_array, read_jsonl, write_jsonl
-from .materials import EMPTY_LABELS, MaterialLabelSet
+from .materials import MATERIALS, MaterialLabelSet, multihot
 from .mesh import LabeledMesh
 
 _RELAX_CANDIDATES = 8
 _VISIBILITY_ROUNDS = 8
 
 
-@dataclass
-class SurfaceSample:
-    """A point on a mesh face.
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Points on a mesh's faces, one row per sample.
 
-    ``visible`` is unknown (True) until the visibility filter runs.
+    ``positions`` (S, 3), ``faces`` (S,), ``barycentric`` (S, 3), and
+    ``labels`` (S, M): row i marks, over MATERIALS, the label set of sample
+    i's face's component with 0/1. A sample's normal is its face's,
+    ``mesh.face_normals[faces]``.
     """
 
-    position: np.ndarray
-    face: int
+    positions: np.ndarray
+    faces: np.ndarray
     barycentric: np.ndarray
-    normal: np.ndarray
-    labels: MaterialLabelSet = field(default_factory=lambda: EMPTY_LABELS)
-    visible: bool = True
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def take(self, rows) -> Samples:
+        """The samples at ``rows``, indices or a boolean mask, in that order."""
+        return Samples(self.positions[rows], self.faces[rows], self.barycentric[rows], self.labels[rows])
 
 
-def positions_of(samples: list[SurfaceSample]) -> np.ndarray:
-    return np.array([s.position for s in samples]).reshape(-1, 3)
+# the benchmark harness imports positions_of (bench/workloads.py, bench/fault_case.py)
+def positions_of(samples: Samples) -> np.ndarray:
+    return samples.positions
 
 
 def sample_surface_points(
@@ -48,7 +58,7 @@ def sample_surface_points(
     n: int,
     seed: int,
     relax_iterations: int = SamplingConfig.relax_iterations,
-) -> list[SurfaceSample]:
+) -> Samples:
     """Draw ``n`` area-weighted surface points, then even them out.
 
     The relaxation repeatedly replaces the most crowded sample (smallest
@@ -66,7 +76,7 @@ def sample_surface_points(
     faces, bary, pos = draw_surface(mesh, every, n, rng)
     if relax_iterations > 0 and n >= 3:
         faces, bary, pos = _relax(mesh, rng, every, faces, bary, pos, relax_iterations)
-    return _make_samples(mesh, faces, bary, pos)
+    return Samples(pos, faces, bary, multihot(mesh.labels)[mesh.face_component[faces]])
 
 
 def draw_surface(mesh: LabeledMesh, faces: np.ndarray, count: int, rng):
@@ -103,23 +113,6 @@ def _relax(mesh, rng, every, faces, bary, pos, iterations):
     return faces, bary, pos
 
 
-def _make_samples(mesh, faces, bary, pos):
-    samples = []
-    for i in range(len(faces)):
-        f = int(faces[i])
-        labels = mesh.face_label_set(f)
-        samples.append(
-            SurfaceSample(
-                position=pos[i],
-                face=f,
-                barycentric=bary[i],
-                normal=mesh.face_normals[f].copy(),
-                labels=labels if labels is not None else EMPTY_LABELS,
-            )
-        )
-    return samples
-
-
 def _fibonacci_directions(count: int) -> np.ndarray:
     k = np.arange(count, dtype=np.float64)
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -131,10 +124,10 @@ def _fibonacci_directions(count: int) -> np.ndarray:
 
 def visibility_filter(
     mesh: LabeledMesh,
-    samples: list[SurfaceSample],
+    samples: Samples,
     n_rays: int = SamplingConfig.visibility_rays,
     offset: float = SamplingConfig.visibility_offset,
-) -> list[SurfaceSample]:
+) -> Samples:
     """Keep samples that can see past the bounding sphere along some ray.
 
     A sample is visible iff at least one of ``n_rays`` directions (covering
@@ -143,18 +136,15 @@ def visibility_filter(
     traced in strided rounds, every ``_VISIBILITY_ROUNDS``-th one per round,
     and a sample leaves as soon as one of its rays escapes; a round spreads
     its directions over the whole sphere, so most samples leave in the
-    first. The flags are those of tracing all ``n_rays`` directions. Every
-    input sample gets its ``visible`` flag set; the visible subset is
-    returned.
+    first. The result is that of tracing all ``n_rays`` directions: the
+    visible samples, in their input order.
     """
     if not samples:
-        return []
+        return samples
     bvh = TriangleBvh(mesh.vertices, mesh.faces)
     dirs = _fibonacci_directions(n_rays)
     radius = mesh.bounding_radius
-    pos = positions_of(samples)
-    normals = np.array([s.normal for s in samples])
-    origins = pos + offset * radius * normals
+    origins = samples.positions + offset * radius * mesh.face_normals[samples.faces]
     exit_radius = radius * 1.001 + offset * radius
 
     visible = np.zeros(len(samples), dtype=bool)
@@ -168,13 +158,7 @@ def visibility_filter(
         t_exit = _sphere_exit(ray_origins, ray_dirs, mesh.bounding_center, exit_radius)
         blocked = bvh.any_hit(ray_origins, ray_dirs, t_max=t_exit, t_min=1e-12 * radius)
         visible[pending] = ~blocked.reshape(len(pending), len(batch)).all(axis=1)
-
-    out = []
-    for i, s in enumerate(samples):
-        s.visible = bool(visible[i])
-        if s.visible:
-            out.append(s)
-    return out
+    return samples.take(visible)
 
 
 def _sphere_exit(origins, dirs, center, radius):
@@ -188,7 +172,7 @@ def _sphere_exit(origins, dirs, center, radius):
     return np.where(disc > 0.0, np.maximum(t, 0.0), 0.0)
 
 
-def subsample_even(samples: list[SurfaceSample], k: int, seed: int) -> list[SurfaceSample]:
+def subsample_even(samples: Samples, k: int, seed: int) -> Samples:
     """Greedy farthest-point subsample of exactly ``k`` samples.
 
     Starts from a seeded random sample and repeatedly adds the sample
@@ -203,10 +187,9 @@ def subsample_even(samples: list[SurfaceSample], k: int, seed: int) -> list[Surf
             f"requested {k} samples but only {len(samples)} available; returning all",
             stacklevel=2,
         )
-        return list(samples)
+        return samples
     rng = np.random.default_rng(seed)
-    chosen = farthest_points(positions_of(samples), k, int(rng.integers(len(samples))))
-    return [samples[i] for i in chosen]
+    return samples.take(farthest_points(samples.positions, k, int(rng.integers(len(samples)))))
 
 
 def farthest_points(points: np.ndarray, k: int, first: int) -> list[int]:
@@ -221,24 +204,23 @@ def farthest_points(points: np.ndarray, k: int, first: int) -> list[int]:
     return chosen
 
 
-def save_samples(path: str, samples: list[SurfaceSample]) -> None:
-    """Write samples as JSON lines: {position, face, barycentric, labels, visible}."""
+def save_samples(path: str, samples: Samples) -> None:
+    """Write samples as JSON lines: {position, face, barycentric, labels,
+    visible}. ``visible`` is true on every line: the pipeline saves only
+    samples that passed visibility_filter."""
     write_jsonl(path, (
-        {
-            "position": [float(x) for x in s.position],
-            "face": int(s.face),
-            "barycentric": [float(x) for x in s.barycentric],
-            "labels": list(s.labels),
-            "visible": bool(s.visible),
-        }
-        for s in samples
+        {"position": p, "face": f, "barycentric": b,
+         "labels": [MATERIALS[j] for j in np.flatnonzero(row)], "visible": True}
+        for p, f, b, row in zip(samples.positions.tolist(), samples.faces.tolist(),
+                                samples.barycentric.tolist(), samples.labels)
     ))
 
 
-def load_samples(path: str, mesh: LabeledMesh) -> list[SurfaceSample]:
-    """Read samples written by save_samples; normals recomputed from the mesh.
+def load_samples(path: str, mesh: LabeledMesh) -> Samples:
+    """Read samples written by save_samples.
 
-    Every sample's face must be one of the mesh's faces.
+    Every sample's face must be one of the mesh's faces, and ``visible``
+    must be a bool; its value is not kept.
     """
     def face(f: int) -> int:
         if not 0 <= f < mesh.n_faces:
@@ -248,8 +230,14 @@ def load_samples(path: str, mesh: LabeledMesh) -> list[SurfaceSample]:
     point = (list, lambda values: finite_array(values, (3,)))
     fields = {"position": point, "face": (int, face), "barycentric": point,
               "labels": (list, MaterialLabelSet), "visible": bool}
-    return [
-        SurfaceSample(rec["position"], rec["face"], rec["barycentric"],
-                      mesh.face_normals[rec["face"]].copy(), rec["labels"], rec["visible"])
-        for rec in read_jsonl(path, fields)
-    ]
+    recs = list(read_jsonl(path, fields))
+
+    def column(key):
+        return [rec[key] for rec in recs]
+
+    return Samples(
+        np.array(column("position")).reshape(-1, 3),
+        np.array(column("face"), dtype=np.int64),
+        np.array(column("barycentric")).reshape(-1, 3),
+        multihot(column("labels")),
+    )

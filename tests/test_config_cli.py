@@ -165,6 +165,9 @@ def sampled_shapes(tmp_path_factory):
     ("symmetry", ["--set", "symmetry.samples_per_component=2"], "symmetry.samples_per_component"),
     ("symmetry", ["--set", "symmetry.rmsd_threshold=0"], "symmetry.rmsd_threshold"),
     ("symmetry", ["--set", "symmetry.rmsd_threshold=-1"], "symmetry.rmsd_threshold"),
+    ("sample", ["-k", "0"], "sampling.keep"),
+    ("sample", ["--set", "sampling.keep=0"], "sampling.keep"),
+    ("train-desc", ["--set", "descriptor.pairs_per_step=0"], "descriptor.pairs_per_step"),
 ])
 def test_cli_rejects_values_a_stage_cannot_run_with(sampled_shapes, caplog, command, argv, key):
     shape = sampled_shapes / ("chair" if command == "symmetry" else "t")

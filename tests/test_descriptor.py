@@ -24,7 +24,7 @@ from matseg.descriptor import (
 from matseg.errors import MissingDataError
 from matseg.mesh import attach_labels, build_mesh
 from matseg.sampling import (
-    SurfaceSample,
+    Samples,
     positions_of,
     sample_surface_points,
     subsample_even,
@@ -63,13 +63,12 @@ def test_lambda_presets():
 def test_feature_extraction_shape_and_determinism():
     mesh = small_shape()
     samples = sample_surface_points(mesh, 40, seed=4)
-    visibility_filter(mesh, samples)
     a = extract_features(mesh, samples)
     b = extract_features(mesh, samples)
     assert a.shape == (40, FEATURE_DIM)
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, b)
-    assert extract_features(mesh, []).shape == (0, FEATURE_DIM)
+    assert extract_features(mesh, samples.take([])).shape == (0, FEATURE_DIM)
 
 
 def per_sample_features(mesh, samples):
@@ -77,7 +76,7 @@ def per_sample_features(mesh, samples):
     (np.histogram for the angle bins), and one BVH query per thickness ray
     direction."""
     pos = positions_of(samples)
-    normals = np.array([s.normal for s in samples])
+    normals = np.array([mesh.face_normals[f] for f in samples.faces])
     radius = mesh.bounding_radius
     center = mesh.bounding_center
     tree = cKDTree(pos)
@@ -135,7 +134,7 @@ def per_sample_features(mesh, samples):
         out[:, g + 7] += depth(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
     out[:, g + 7] /= 4 * cap
 
-    comp = mesh.face_component[[s.face for s in samples]]
+    comp = np.array([mesh.face_component[f] for f in samples.faces])
     centroids = mesh.face_centroids()
     for c in np.unique(comp):
         faces = mesh.component_faces(c)
@@ -171,18 +170,16 @@ def test_features_bin_edge_angles_and_empty_neighborhoods():
     faces = np.array([t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))])
     mesh = build_mesh(corners, faces, ("slab",), np.zeros(len(faces), dtype=np.int64))
 
-    def on(point, normal):
-        f = int(np.flatnonzero(np.all(mesh.face_normals == normal, axis=1))[0])
-        return SurfaceSample(np.array(point), f, np.array([1 / 3, 1 / 3, 1 / 3]),
-                             mesh.face_normals[f].copy())
-
-    samples = [
-        on([0.1, 0.1, 0.1], [0.0, 1.0, 0.0]),
-        on([0.12, 0.1, 0.1], [0.0, 1.0, 0.0]),
-        on([0.1, 0.0, 0.1], [0.0, -1.0, 0.0]),
-        on([0.0, 0.05, 0.1], [-1.0, 0.0, 0.0]),
-        on([0.9, 0.1, 0.9], [0.0, 1.0, 0.0]),
+    points = [
+        ([0.1, 0.1, 0.1], [0.0, 1.0, 0.0]),
+        ([0.12, 0.1, 0.1], [0.0, 1.0, 0.0]),
+        ([0.1, 0.0, 0.1], [0.0, -1.0, 0.0]),
+        ([0.0, 0.05, 0.1], [-1.0, 0.0, 0.0]),
+        ([0.9, 0.1, 0.9], [0.0, 1.0, 0.0]),
     ]
+    faces = [int(np.flatnonzero(np.all(mesh.face_normals == normal, axis=1))[0]) for _, normal in points]
+    samples = Samples(np.array([p for p, _ in points]), np.array(faces),
+                      np.full((len(points), 3), 1 / 3), np.zeros((len(points), 5)))
     got = extract_features(mesh, samples)
     assert np.all(np.abs(got - per_sample_features(mesh, samples)) <= 1e-12)
     for base in (0, 17, 34):
@@ -196,9 +193,9 @@ def test_label_matrix_from_samples():
     samples = sample_surface_points(mesh, 30, seed=1)
     mat = label_matrix(samples)
     assert mat.shape == (30, 5)
-    for s, row in zip(samples, mat):
+    for f, row in zip(samples.faces, mat):
         names = {name for name, on in zip(("wood", "plastic", "metal", "glass", "fabric"), row) if on}
-        assert names == set(s.labels)
+        assert names == set(mesh.face_label_set(f))
 
 
 def test_pair_ratio_and_combination_cycling():

@@ -71,8 +71,8 @@ def _save_predictions(path, result):
 
 
 def _sample_key(samples):
-    return [(s.position.tolist(), s.face, s.barycentric.tolist(), s.labels, s.visible)
-            for s in samples]
+    return (samples.positions.tolist(), samples.faces.tolist(), samples.barycentric.tolist(),
+            samples.labels.tolist())
 
 
 def _symmetries_key(symmetries):

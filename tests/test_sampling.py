@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from conftest import dense_shapes
 from matseg.bvh import TriangleBvh
 from matseg.config import SamplingConfig
 from matseg.errors import EmptyMeshError, InvalidKError
-from matseg.materials import MaterialLabelSet
+from matseg.materials import multihot
 from matseg.mesh import attach_labels, build_mesh
 from matseg.sampling import (
-    SurfaceSample,
+    Samples,
     _fibonacci_directions,
     _sphere_exit,
     load_samples,
@@ -60,20 +62,26 @@ def box_mesh(lo, hi, closed=True):
     return corners, np.array(faces)
 
 
+def one_sample(position, face):
+    """A table holding one unlabeled sample at ``position`` on ``face``;
+    visibility reads only the position and the face's normal."""
+    return Samples(np.array([position], dtype=np.float64), np.array([face]),
+                   np.full((1, 3), 1 / 3), np.zeros((1, 5)))
+
+
 def test_single_triangle_sample_lands_on_it():
     mesh = one_triangle()
     samples = sample_surface_points(mesh, 1, seed=0)
     assert len(samples) == 1
-    s = samples[0]
-    assert s.face == 0
-    assert np.all(s.barycentric >= 0)
-    assert abs(s.barycentric.sum() - 1.0) < 1e-9
+    assert np.array_equal(samples.faces, [0])
+    assert np.all(samples.barycentric >= 0)
+    assert abs(samples.barycentric.sum() - 1.0) < 1e-9
 
 
 def test_area_weighted_split():
     mesh = two_triangles_9_to_1()
     samples = sample_surface_points(mesh, 1000, seed=42, relax_iterations=0)
-    big = sum(1 for s in samples if s.face == 0)
+    big = int(np.sum(samples.faces == 0))
     # 3 sigma of Binomial(1000, 0.9)
     assert abs(big - 900) <= 3 * np.sqrt(1000 * 0.9 * 0.1)
 
@@ -82,23 +90,22 @@ def test_sampling_deterministic():
     mesh = two_triangles_9_to_1()
     a = sample_surface_points(mesh, 64, seed=7)
     b = sample_surface_points(mesh, 64, seed=7)
-    assert [s.face for s in a] == [s.face for s in b]
+    assert np.array_equal(a.faces, b.faces)
     assert np.array_equal(positions_of(a), positions_of(b))
 
 
 def test_barycentric_reconstructs_position():
     mesh = two_triangles_9_to_1()
-    for s in sample_surface_points(mesh, 100, seed=3):
-        tri = mesh.vertices[mesh.faces[s.face]]
-        rebuilt = s.barycentric @ tri
-        assert np.linalg.norm(rebuilt - s.position) < 1e-6 * mesh.bounding_radius
+    samples = sample_surface_points(mesh, 100, seed=3)
+    rebuilt = np.einsum("ik,ikj->ij", samples.barycentric, mesh.vertices[mesh.faces[samples.faces]])
+    assert np.all(np.linalg.norm(rebuilt - samples.positions, axis=1) < 1e-6 * mesh.bounding_radius)
 
 
 def test_samples_inherit_component_labels():
     mesh = attach_labels(two_triangles_9_to_1(), {"big": ["wood"], "small": ["glass"]})
-    for s in sample_surface_points(mesh, 200, seed=1):
-        want = "wood" if s.face == 0 else "glass"
-        assert s.labels == MaterialLabelSet([want])
+    samples = sample_surface_points(mesh, 200, seed=1)
+    wood, glass = multihot([["wood"], ["glass"]])
+    assert np.array_equal(samples.labels, np.where((samples.faces == 0)[:, None], wood, glass))
 
 
 def test_zero_area_mesh_rejected():
@@ -115,7 +122,7 @@ def test_outer_cube_samples_visible():
     samples = sample_surface_points(mesh, 32, seed=0)
     kept = visibility_filter(mesh, samples)
     assert len(kept) == len(samples)
-    assert all(s.visible for s in samples)
+    assert np.array_equal(kept.positions, samples.positions)
 
 
 def test_double_walled_box_inner_samples_invisible():
@@ -126,28 +133,16 @@ def test_double_walled_box_inner_samples_invisible():
     comp = np.array([0] * len(outer_f) + [1] * len(inner_f))
     mesh = build_mesh(verts, faces, ("outer", "inner"), comp)
     inner_face = len(outer_f)  # a bottom face of the inner box
-    s = SurfaceSample(
-        position=np.array([1.4, 1.0, 1.4]),
-        face=inner_face,
-        barycentric=np.array([1 / 3, 1 / 3, 1 / 3]),
-        normal=np.array([0.0, -1.0, 0.0]),
-    )
-    kept = visibility_filter(mesh, [s])
-    assert kept == []
-    assert s.visible is False
+    assert np.array_equal(mesh.face_normals[inner_face], [0.0, -1.0, 0.0])
+    assert len(visibility_filter(mesh, one_sample([1.4, 1.0, 1.4], inner_face))) == 0
 
 
 def test_open_top_box_floor_visible():
     verts, faces = box_mesh((0, 0, 0), (1, 1, 1), closed=False)
+    faces[0] = faces[0, ::-1]  # the floor triangle faces inward, up into the box
     mesh = build_mesh(verts, faces, ("box",), np.zeros(len(faces), dtype=np.int64))
-    s = SurfaceSample(
-        position=np.array([0.4, 0.0, 0.4]),
-        face=0,
-        barycentric=np.array([1 / 3, 1 / 3, 1 / 3]),
-        normal=np.array([0.0, 1.0, 0.0]),  # inner side of the floor
-    )
-    kept = visibility_filter(mesh, [s])
-    assert len(kept) == 1 and kept[0].visible
+    assert np.array_equal(mesh.face_normals[0], [0.0, 1.0, 0.0])
+    assert len(visibility_filter(mesh, one_sample([0.4, 0.0, 0.4], 0))) == 1
 
 
 def test_visibility_monotone_under_face_removal():
@@ -160,16 +155,12 @@ def test_visibility_monotone_under_face_removal():
     part = build_mesh(verts, all_faces[len(outer_f):], ("m",),
                       np.zeros(len(inner_f), dtype=np.int64))
 
-    def probe():
-        return SurfaceSample(
-            position=np.array([1.4, 1.0, 1.4]),
-            face=0,
-            barycentric=np.array([1 / 3, 1 / 3, 1 / 3]),
-            normal=np.array([0.0, -1.0, 0.0]),
-        )
-
-    assert visibility_filter(full, [probe()]) == []
-    assert len(visibility_filter(part, [probe()])) == 1
+    # face 0 is a bottom face of each mesh's outermost box, facing down
+    assert np.array_equal(full.face_normals[0], [0.0, -1.0, 0.0])
+    assert np.array_equal(part.face_normals[0], [0.0, -1.0, 0.0])
+    probe = one_sample([1.4, 1.0, 1.4], 0)
+    assert len(visibility_filter(full, probe)) == 0
+    assert len(visibility_filter(part, probe)) == 1
 
 
 def all_rays_visible(mesh, samples, n_rays, offset=SamplingConfig.visibility_offset):
@@ -177,7 +168,7 @@ def all_rays_visible(mesh, samples, n_rays, offset=SamplingConfig.visibility_off
     one query, and is visible iff one of them escapes."""
     dirs = _fibonacci_directions(n_rays)
     radius = mesh.bounding_radius
-    origins = positions_of(samples) + offset * radius * np.array([s.normal for s in samples])
+    origins = positions_of(samples) + offset * radius * mesh.face_normals[samples.faces]
     ray_origins = np.repeat(origins, n_rays, axis=0)
     ray_dirs = np.tile(dirs, (len(samples), 1))
     t_exit = _sphere_exit(ray_origins, ray_dirs, mesh.bounding_center,
@@ -193,8 +184,8 @@ def test_visibility_rounds_match_all_rays(n_rays):
         samples = sample_surface_points(mesh, 300, seed=3)
         want = all_rays_visible(mesh, samples, n_rays)
         kept = visibility_filter(mesh, samples, n_rays=n_rays)
-        assert np.array_equal([s.visible for s in samples], want)
-        assert [id(s) for s in kept] == [id(s) for s, v in zip(samples, want) if v]
+        for column in ("positions", "faces", "barycentric", "labels"):
+            assert np.array_equal(getattr(kept, column), getattr(samples, column)[want])
         assert 0 < len(kept) < len(samples)
 
 
@@ -203,8 +194,13 @@ def test_subsample_exact_size_and_subset():
     samples = sample_surface_points(mesh, 150, seed=5)
     out = subsample_even(samples, 75, seed=5)
     assert len(out) == 75
-    ids = {id(s) for s in samples}
-    assert all(id(s) in ids for s in out)
+    # every kept row is one of the input rows, none twice
+    rows = [np.flatnonzero(np.all(samples.positions == p, axis=1)) for p in out.positions]
+    assert all(len(r) == 1 for r in rows)
+    rows = np.concatenate(rows)
+    assert len(set(rows.tolist())) == 75
+    assert np.array_equal(out.faces, samples.faces[rows])
+    assert np.array_equal(out.barycentric, samples.barycentric[rows])
 
 
 def test_subsample_spreads_better_than_random():
@@ -219,8 +215,7 @@ def test_subsample_spreads_better_than_random():
         return d.min()
 
     fps = subsample_even(samples, 75, seed=9)
-    where = {id(s): i for i, s in enumerate(samples)}
-    fps_idx = [where[id(s)] for s in fps]
+    fps_idx = [int(np.flatnonzero(np.all(pos == p, axis=1))[0]) for p in fps.positions]
     rng = np.random.default_rng(9)
     random_gaps = [min_gap(rng.choice(150, size=75, replace=False)) for _ in range(100)]
     assert min_gap(np.array(fps_idx)) >= max(random_gaps)
@@ -230,10 +225,12 @@ def test_subsample_identity_and_single():
     mesh = one_triangle()
     samples = sample_surface_points(mesh, 20, seed=2)
     whole = subsample_even(samples, 20, seed=0)
-    assert sorted(id(s) for s in whole) == sorted(id(s) for s in samples)
+    order = np.lexsort(whole.positions.T)
+    assert np.array_equal(whole.positions[order], samples.positions[np.lexsort(samples.positions.T)])
     single = subsample_even(samples, 1, seed=11)
     start = int(np.random.default_rng(11).integers(20))
-    assert single == [samples[start]]
+    assert np.array_equal(single.positions, samples.positions[[start]])
+    assert np.array_equal(single.faces, samples.faces[[start]])
     for k in (0, -1):
         with pytest.raises(InvalidKError):
             subsample_even(samples, k, seed=0)
@@ -244,20 +241,19 @@ def test_subsample_overflow_warns_and_returns_all():
     samples = sample_surface_points(mesh, 5, seed=0)
     with pytest.warns(UserWarning):
         out = subsample_even(samples, 10, seed=0)
-    assert out == samples
+    for column in ("positions", "faces", "barycentric", "labels"):
+        assert np.array_equal(getattr(out, column), getattr(samples, column))
 
 
 def test_samples_round_trip(tmp_path):
     mesh = attach_labels(two_triangles_9_to_1(), {"big": ["wood"], "small": ["glass"]})
-    samples = sample_surface_points(mesh, 40, seed=13)
-    visibility_filter(mesh, samples)
+    samples = visibility_filter(mesh, sample_surface_points(mesh, 40, seed=13))
     path = tmp_path / "samples.jsonl"
     save_samples(str(path), samples)
     back = load_samples(str(path), mesh)
     assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.face == b.face
-        assert a.labels == b.labels
-        assert a.visible == b.visible
-        assert np.allclose(a.position, b.position)
-        assert np.allclose(a.barycentric, b.barycentric)
+    assert np.array_equal(back.faces, samples.faces)
+    assert np.array_equal(back.labels, samples.labels)
+    assert np.allclose(back.positions, samples.positions)
+    assert np.allclose(back.barycentric, samples.barycentric)
+    assert all(json.loads(line)["visible"] is True for line in path.read_text().splitlines())
