@@ -265,10 +265,14 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
     cfg = config.descriptor
     feats, labels = [], []
     for d in _shape_dirs(args.data, SAMPLES_FILE):
+        # the shape's labels file is the truth, not the labels sample stored
+        labels_path = os.path.join(d, LABELS_FILE)
+        if not os.path.exists(labels_path):
+            raise InterchangeError(labels_path, "not found; train-desc takes each sample's truth from it")
         mesh = _load_shape(d)
         samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
         feats.append(extract_features(mesh, samples))
-        labels.append(samples.labels)
+        labels.append(multihot(mesh.labels)[mesh.face_component[samples.faces]])
     features = np.vstack(feats)
     truth = np.vstack(labels)
     if len(features) > cfg.max_train_points:

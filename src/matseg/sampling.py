@@ -22,7 +22,11 @@ from .materials import MATERIALS, MaterialLabelSet, multihot
 from .mesh import LabeledMesh
 
 _RELAX_CANDIDATES = 8
-_VISIBILITY_ROUNDS = 8
+# visibility traces every _VISIBILITY_STRIDE-th direction per round; after
+# _STRIDED_ROUNDS rounds few samples are pending, and one call for all their
+# other directions costs less than a BVH traversal per further round
+_VISIBILITY_STRIDE = 8
+_STRIDED_ROUNDS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +136,13 @@ def visibility_filter(
 
     A sample is visible iff at least one of ``n_rays`` directions (covering
     the sphere evenly) escapes to the bounding sphere unobstructed. Origins
-    are nudged off the surface along the sample normal. The directions are
-    traced in strided rounds, every ``_VISIBILITY_ROUNDS``-th one per round,
-    and a sample leaves as soon as one of its rays escapes; a round spreads
-    its directions over the whole sphere, so most samples leave in the
-    first. The result is that of tracing all ``n_rays`` directions: the
-    visible samples, in their input order.
+    are nudged off the surface along the sample normal. The first
+    ``_STRIDED_ROUNDS`` rounds each trace every ``_VISIBILITY_STRIDE``-th
+    direction, and a sample leaves as soon as one of its rays escapes; a
+    round spreads its directions over the whole sphere, so most samples
+    leave in the first. One last round traces all the other directions of
+    the samples still pending. The result is that of tracing all ``n_rays``
+    directions: the visible samples, in their input order.
     """
     if not samples:
         return samples
@@ -147,10 +152,12 @@ def visibility_filter(
     origins = samples.positions + offset * radius * mesh.face_normals[samples.faces]
     exit_radius = radius * 1.001 + offset * radius
 
+    strided = np.arange(n_rays) % _VISIBILITY_STRIDE
+    rounds = [dirs[strided == k] for k in range(_STRIDED_ROUNDS)]
+    rounds.append(dirs[strided >= _STRIDED_ROUNDS])
     visible = np.zeros(len(samples), dtype=bool)
-    for first in range(_VISIBILITY_ROUNDS):
+    for batch in rounds:
         pending = np.flatnonzero(~visible)
-        batch = dirs[first::_VISIBILITY_ROUNDS]
         if len(pending) == 0 or len(batch) == 0:
             break
         ray_origins = np.repeat(origins[pending], len(batch), axis=0)

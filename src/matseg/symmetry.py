@@ -15,7 +15,7 @@ are clustered, each cluster's transform sharpened point-to-plane
 transform survives when it takes every component onto a congruent one. All
 those (component, target) pairs share its motion, so one joint
 point-to-plane refit over their stacked correspondences polishes it, and
-one query of each pair's dense cloud gates the pair. A pair that maps a
+the refit's own last correspondences gate each pair. A pair that maps a
 component onto itself is also probed by a refit of that pair alone, which
 catches a component that only the other pairs hold in place. The survivors
 are clustered again, so each distinct symmetry appears once. Its face pairs
@@ -44,14 +44,16 @@ _N_INIT_ROTATIONS = 8
 # match well below the acceptance gate
 _TARGET_DENSITY = 32
 # the joint refit and the self-pair probe move every _REFIT_STRIDE-th point
-# of a component's dense cloud; the gate's rmsd reads the whole cloud
+# of a component's dense cloud; the gate's rmsd reads that strided cloud
 _REFIT_STRIDE = 4
 _TRIVIAL_ANGLE = math.radians(2.0)
 _CLUSTER_ANGLE = math.radians(5.0)
 _CLUSTER_AXIS = math.radians(5.0)
 _CLUSTER_TRANSLATION = 0.05
-# a point-to-plane refit stops once a step moves the bounding sphere by less
-_REFIT_STEP = 1e-9
+# a point-to-plane refit stops once a step moves the bounding sphere by
+# less, four orders below the default gate (0.02 R): a shorter step only
+# re-confirms a fit already reached
+_REFIT_STEP = 1e-6
 _REFIT_MAX_ITER = 12
 
 
@@ -222,15 +224,25 @@ def _refit(pairs, targets, normals, trees, init, max_iter, center, radius):
     the exact rotation by w, so a reflection stays a reflection. The
     minimum-norm solve leaves a free direction (a round top spun about its
     axis) at the start's value. Stops when a step moves the bounding sphere
-    by less than _REFIT_STEP * radius. Returns the transform.
+    by less than _REFIT_STEP * radius, or after ``max_iter`` steps.
+
+    Returns the transform and, per pair, the nearest distances of the last
+    query. After a stop on a short step they were measured before that
+    step; after ``max_iter`` steps one more query measures them at the
+    returned transform. Either way, each lies within _REFIT_STEP * radius of
+    the distance under the returned transform, for clouds inside the
+    bounding sphere.
     """
     source = np.vstack([cloud for cloud, _ in pairs])
     ends = np.cumsum([len(cloud) for cloud, _ in pairs])[:-1]
     r = init.rotation
     t = init.translation
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         moved = source @ r.T + t
-        idx = [trees[j].query(part)[1] for (_, j), part in zip(pairs, np.split(moved, ends))]
+        parts = np.split(moved, ends)
+        dist, idx = zip(*(trees[j].query(part) for (_, j), part in zip(pairs, parts)))
+        if it == max_iter:
+            break
         nearest = np.vstack([targets[j][i] for (_, j), i in zip(pairs, idx)])
         n = np.vstack([normals[j][i] for (_, j), i in zip(pairs, idx)])
         # columns scaled to the radius so the solve does not depend on units
@@ -245,7 +257,7 @@ def _refit(pairs, targets, normals, trees, init, max_iter, center, radius):
         shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
         if shift < _REFIT_STEP * radius:
             break
-    return RigidTransform(r, t)
+    return RigidTransform(r, t), list(dist)
 
 
 def _signature(cloud: np.ndarray) -> np.ndarray:
@@ -314,8 +326,8 @@ def detect_symmetries(
     The check names each component's target. One point-to-plane refit of
     the transform runs over the stacked correspondences of all its
     (component, target) pairs, each moving every fourth point of the
-    component's dense cloud; each pair is then gated on the rmsd of its
-    whole dense cloud under that joint fit. A pair that maps a component
+    component's dense cloud; each pair is then gated on the rmsd of that
+    strided cloud, from the refit's last query. A pair that maps a component
     onto itself is also refitted alone from the joint fit, and dropped if
     that probe moves the component's sparse cloud by the gate (rms). The
     surviving pairs are clustered again.
@@ -394,7 +406,7 @@ def detect_symmetries(
         fit = _refit(
             [(sources[sym.source_component], sym.target_component)], targets, normals, trees,
             sym.transform, refit_iter, center, radius,
-        )
+        )[0]
         if not _is_trivial(fit):
             reps.append(fit)
 
@@ -402,29 +414,29 @@ def detect_symmetries(
     # itself at any offset) fits under the gate without being a symmetry
     # of the shape; keep only transforms that map every component onto
     # matching geometry. Their (component, target) pairs share one motion:
-    # one refit over all of them polishes it, and one query of each pair's
-    # dense cloud gates the pair. Re-clustering merges duplicates, and fits
-    # that slid toward the identity meet the trivial gate again. The other
-    # pairs can hold a component where alone it would slide (a 16-gon top
-    # under the shape's 120-degree turn), so a pair onto itself is dropped
-    # when its own refit from the joint fit moves its sparse cloud by the
-    # gate (rms), to a congruence of that component alone (the top's own
-    # 112.5 degrees).
+    # one refit over all of them polishes it, and the distances of its last
+    # query gate each pair on its strided cloud: they lie within
+    # _REFIT_STEP * radius of those under the returned fit. Re-clustering
+    # merges duplicates, and fits that slid toward the identity meet the
+    # trivial gate again. The other pairs can hold a component where alone
+    # it would slide (a 16-gon top under the shape's 120-degree turn), so a
+    # pair onto itself is dropped when its own refit from the joint fit
+    # moves its sparse cloud by the gate (rms), to a congruence of that
+    # component alone (the top's own 112.5 degrees).
     refit: list[tuple[RigidTransform, int, int, float]] = []
     for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
         if not pairs:
             continue
         moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
-        fit = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
+        fit, dists = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
         if _is_trivial(fit):
             continue
-        for (c, j), pair in zip(pairs, moving):
-            dist = trees[j].query(fit.apply(targets[c]))[0]
+        for (c, j), pair, dist in zip(pairs, moving, dists):
             rmsd = float(np.sqrt(np.mean(dist * dist)))
             if rmsd >= accept:
                 continue
             if c == j:
-                probe = _refit([pair], targets, normals, trees, fit, refit_iter, center, radius)
+                probe = _refit([pair], targets, normals, trees, fit, refit_iter, center, radius)[0]
                 slide = probe.apply(sources[c]) - fit.apply(sources[c])
                 if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
                     continue

@@ -10,6 +10,7 @@ import pytest
 from matseg import cli
 from matseg.config import PipelineConfig, apply_items, load_config, save_config
 from matseg.errors import ConfigError
+from matseg.materials import MATERIALS
 from matseg.mesh import attach_labels, load_labels, load_obj
 
 
@@ -435,3 +436,36 @@ def test_cli_train_desc_names_labels_file_with_unknown_component(tmp_path, caplo
     assert len(errors) == 1 and str(path) in errors[0] and "'tabletop'" in errors[0]
     assert "Traceback" not in caplog.text
     assert not net.exists()
+
+
+@pytest.mark.filterwarnings("ignore:skipped .* pair draws")  # one material leaves no pair
+def test_cli_train_desc_takes_truth_from_the_labels_file(tmp_path, monkeypatch, caplog):
+    """Labels edited after sample are the ones train-desc trains on; the
+    labels that samples.jsonl stored are not. Without the labels file there
+    is no truth, and the error names the file."""
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", write_spec(tmp_path), "--out", str(out)]) == 0
+    assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "30"]) == 0
+    path = out / "labels.json"
+    path.write_text(set_key("labels", lambda labels: {name: ["glass"] for name in labels})(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    seen = []
+    train = cli.train_descriptor
+
+    def capture(features, truth, **kwargs):
+        seen.append(truth)
+        return train(features, truth, **kwargs)
+
+    monkeypatch.setattr(cli, "train_descriptor", capture)
+    assert cli.main(["train-desc", "--data", str(tmp_path), "--out", str(tmp_path / "net.json"),
+                     "--set", "descriptor.epochs=1"]) == 0
+    (truth,) = seen
+    glass = np.eye(5)[MATERIALS.index("glass")]
+    assert truth.shape == (30, 5) and (truth == glass).all()
+
+    path.unlink()
+    caplog.clear()
+    assert cli.main(["train-desc", "--data", str(tmp_path), "--out", str(tmp_path / "again.json")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(path) in errors[0] and "not found" in errors[0]
+    assert not (tmp_path / "again.json").exists()

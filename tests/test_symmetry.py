@@ -7,9 +7,11 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from matseg import symmetry
 from matseg.mesh import build_mesh, y_rotation
 from matseg.sampling import draw_surface
 from matseg.symmetry import (
+    _REFIT_STEP,
     DetectedSymmetry,
     RigidTransform,
     _arrangement,
@@ -450,6 +452,25 @@ def test_jittered_cabinet_finds_no_non_symmetry():
     assert min(np.linalg.norm(t.apply(v) - v @ mirror.T, axis=1).max() for t in reps) <= tol
 
 
+def test_detection_query_volume(monkeypatch):
+    """KD query points of one detection on a jittered suite table (index 2,
+    jitter 0.002, seed 1002). Counts are deterministic: a joint refit whose
+    pairs are gated from its own correspondences makes 214,784; re-querying
+    each pair's whole dense cloud for the gate, with refits stopped at a
+    1e-9 R step, made 365,056."""
+    queried = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "cKDTree", CountingTree)
+    spec = dataclasses.replace(benchmark_suite()[2], jitter=0.002, seed=1002)
+    assert detect_symmetries(generate(spec), seed=spec.seed)
+    assert sum(queried) <= 250_000
+
+
 def test_mirror_pairs_come_out_both_ways(suite_detections):
     _, mesh, syms = suite_detections[15]
     legs = {c for c, n in enumerate(mesh.component_names) if n.startswith("leg")}
@@ -506,12 +527,9 @@ def test_early_reject_matches_full_rmsd():
     assert not all(bounded)
 
 
-@pytest.mark.parametrize("rotation", [QUARTER, np.diag([-1.0, 1.0, 1.0])])
-def test_stacked_refit_recovers_the_shared_motion(rotation):
-    """One motion fitted over three (component, target) pairs at once, from
-    a start 3 degrees and 0.02 R off: the quarter turn carries each box
-    onto the next, the x-mirror swaps boxes 0 and 2 and keeps box 1 on
-    itself."""
+def stacked_refit_case(rotation):
+    """The four boxes, three (strided cloud, target) pairs under the true
+    motion ``rotation``, and a start 3 degrees and 0.02 R off it."""
     mesh = four_box_mesh()
     radius = mesh.bounding_radius
     rng = np.random.default_rng(8)
@@ -524,13 +542,38 @@ def test_stacked_refit_recovers_the_shared_motion(rotation):
     axis = np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25)
     nudge = RigidTransform(Rotation.from_rotvec(math.radians(3.0) * axis).as_matrix(),
                            0.02 * radius * np.array([0.6, -0.8, 0.0]))
-    fit = _refit(
-        [(targets[c][::4], j) for c, j in pairs], targets, normals, [cKDTree(t) for t in targets],
-        nudge.compose(true), 12, mesh.bounding_center, radius,
-    )
+    moving = [(targets[c][::4], j) for c, j in pairs]
+    return mesh, true, moving, targets, normals, [cKDTree(t) for t in targets], nudge.compose(true)
+
+
+@pytest.mark.parametrize("rotation", [QUARTER, np.diag([-1.0, 1.0, 1.0])])
+def test_stacked_refit_recovers_the_shared_motion(rotation):
+    """One motion fitted over three (component, target) pairs at once, from
+    a start 3 degrees and 0.02 R off: the quarter turn carries each box
+    onto the next, the x-mirror swaps boxes 0 and 2 and keeps box 1 on
+    itself."""
+    mesh, true, moving, targets, normals, trees, start = stacked_refit_case(rotation)
+    radius = mesh.bounding_radius
+    fit, _ = _refit(moving, targets, normals, trees, start, 12, mesh.bounding_center, radius)
     assert fit.det == true.det
     gap = np.linalg.norm(fit.apply(mesh.vertices) - true.apply(mesh.vertices), axis=1).max()
     assert gap < 1e-3 * radius
+
+
+@pytest.mark.parametrize("rotation", [QUARTER, np.diag([-1.0, 1.0, 1.0])])
+def test_refit_distances_hold_under_the_returned_fit(rotation):
+    """The nearest distances the refit returns, which the joint refit's gate
+    reads, are those of the returned fit within the step that stops it; a
+    refit capped after one step queries again at the fit it returns."""
+    mesh, _, moving, targets, normals, trees, start = stacked_refit_case(rotation)
+    radius = mesh.bounding_radius
+    for max_iter, bound in ((12, _REFIT_STEP * radius), (1, 0.0)):
+        fit, dists = _refit(moving, targets, normals, trees, start, max_iter,
+                            mesh.bounding_center, radius)
+        assert len(dists) == len(moving)
+        for (cloud, j), dist in zip(moving, dists):
+            fresh = trees[j].query(fit.apply(cloud))[0]
+            assert np.abs(dist - fresh).max() <= bound
 
 
 def test_point_to_plane_refit_keeps_reflection():
@@ -556,7 +599,7 @@ def test_point_to_plane_refit_keeps_reflection():
         y_rotation(0.05) @ mirror, np.array([0.02, -0.01, 0.015])
     )
     tree = cKDTree(dst)
-    fit = _refit(
+    fit, _ = _refit(
         [(src, 0)], [dst], [mesh.face_normals[faces]], [tree], start, 12,
         mesh.bounding_center, mesh.bounding_radius,
     )
