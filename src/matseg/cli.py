@@ -265,14 +265,14 @@ def _cmd_train_desc(args, config: PipelineConfig) -> int:
     cfg = config.descriptor
     feats, labels = [], []
     for d in _shape_dirs(args.data, SAMPLES_FILE):
-        # the shape's labels file is the truth, not the labels sample stored
+        # the shape's labels file is the truth; load_samples reads it off the mesh
         labels_path = os.path.join(d, LABELS_FILE)
         if not os.path.exists(labels_path):
             raise InterchangeError(labels_path, "not found; train-desc takes each sample's truth from it")
         mesh = _load_shape(d)
         samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
         feats.append(extract_features(mesh, samples))
-        labels.append(multihot(mesh.labels)[mesh.face_component[samples.faces]])
+        labels.append(samples.labels)
     features = np.vstack(feats)
     truth = np.vstack(labels)
     if len(features) > cfg.max_train_points:
@@ -311,14 +311,33 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
     return 0
 
 
+def _faces_on_mesh(path: str, faces: np.ndarray, mesh) -> None:
+    """InterchangeError naming ``path`` and the first of its face ids, in
+    file order, that is not one of the mesh's faces."""
+    bad = np.flatnonzero((faces < 0) | (faces >= mesh.n_faces))
+    if len(bad):
+        raise InterchangeError(path, f"face {faces.flat[bad[0]]} is not one of the mesh's "
+                                     f"{mesh.n_faces} faces; the file is from another mesh")
+
+
 def _build_shape_graph(d: str, weights=None, with_truth=False):
+    """A shape directory's CRF; a stage file written for other samples or
+    another mesh raises InterchangeError naming it."""
     mesh = _load_shape(d)
     samples = load_samples(os.path.join(d, SAMPLES_FILE), mesh)
-    probs = load_sample_probs(os.path.join(d, PROBS_FILE))
+    probs_path = os.path.join(d, PROBS_FILE)
+    probs = load_sample_probs(probs_path)
+    if len(probs) != len(samples):
+        raise InterchangeError(probs_path, f"probabilities of shape {probs.shape} for "
+                                           f"{len(samples)} samples in {SAMPLES_FILE}")
     geo_path = os.path.join(d, GEODESIC_FILE)
     sym_path = os.path.join(d, SYMMETRY_PAIRS_FILE)
     dist_pairs = load_distance_pairs(geo_path) if os.path.exists(geo_path) else None
     sym_pairs = load_symmetry_pairs(sym_path) if os.path.exists(sym_path) else None
+    if dist_pairs is not None:
+        _faces_on_mesh(geo_path, dist_pairs.pairs, mesh)
+    if sym_pairs is not None:
+        _faces_on_mesh(sym_path, np.array([[p.face_a, p.face_b] for p in sym_pairs]), mesh)
     truth = multihot(mesh.labels)[mesh.face_component].T if with_truth else None
     return build_crf(
         mesh,

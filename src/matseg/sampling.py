@@ -18,7 +18,7 @@ from .bvh import TriangleBvh
 from .config import SamplingConfig
 from .errors import EmptyMeshError, InvalidKError
 from .jsonl import finite_array, read_jsonl, write_jsonl
-from .materials import MATERIALS, MaterialLabelSet, multihot
+from .materials import multihot
 from .mesh import LabeledMesh
 
 _RELAX_CANDIDATES = 8
@@ -80,7 +80,12 @@ def sample_surface_points(
     faces, bary, pos = draw_surface(mesh, every, n, rng)
     if relax_iterations > 0 and n >= 3:
         faces, bary, pos = _relax(mesh, rng, every, faces, bary, pos, relax_iterations)
-    return Samples(pos, faces, bary, multihot(mesh.labels)[mesh.face_component[faces]])
+    return Samples(pos, faces, bary, _labels_of(mesh, faces))
+
+
+def _labels_of(mesh: LabeledMesh, faces: np.ndarray) -> np.ndarray:
+    """(S, M) 0/1 rows: the label set of each face's component."""
+    return multihot(mesh.labels)[mesh.face_component[faces]]
 
 
 def draw_surface(mesh: LabeledMesh, faces: np.ndarray, count: int, rng):
@@ -212,22 +217,22 @@ def farthest_points(points: np.ndarray, k: int, first: int) -> list[int]:
 
 
 def save_samples(path: str, samples: Samples) -> None:
-    """Write samples as JSON lines: {position, face, barycentric, labels,
-    visible}. ``visible`` is true on every line: the pipeline saves only
-    samples that passed visibility_filter."""
+    """Write where each sample lies, as JSON lines: {position, face,
+    barycentric}. Its labels follow from the face, so they are not written."""
     write_jsonl(path, (
-        {"position": p, "face": f, "barycentric": b,
-         "labels": [MATERIALS[j] for j in np.flatnonzero(row)], "visible": True}
-        for p, f, b, row in zip(samples.positions.tolist(), samples.faces.tolist(),
-                                samples.barycentric.tolist(), samples.labels)
+        {"position": p, "face": f, "barycentric": b}
+        for p, f, b in zip(samples.positions.tolist(), samples.faces.tolist(),
+                           samples.barycentric.tolist())
     ))
 
 
 def load_samples(path: str, mesh: LabeledMesh) -> Samples:
     """Read samples written by save_samples.
 
-    Every sample's face must be one of the mesh's faces, and ``visible``
-    must be a bool; its value is not kept.
+    Every sample's face must be one of the mesh's faces. The labels column
+    is the mesh's, as sample_surface_points sets it; other keys of a line,
+    such as the labels and visible flag that older files carry, are
+    ignored.
     """
     def face(f: int) -> int:
         if not 0 <= f < mesh.n_faces:
@@ -235,16 +240,9 @@ def load_samples(path: str, mesh: LabeledMesh) -> Samples:
         return f
 
     point = (list, lambda values: finite_array(values, (3,)))
-    fields = {"position": point, "face": (int, face), "barycentric": point,
-              "labels": (list, MaterialLabelSet), "visible": bool}
+    fields = {"position": point, "face": (int, face), "barycentric": point}
     recs = list(read_jsonl(path, fields))
-
-    def column(key):
-        return [rec[key] for rec in recs]
-
-    return Samples(
-        np.array(column("position")).reshape(-1, 3),
-        np.array(column("face"), dtype=np.int64),
-        np.array(column("barycentric")).reshape(-1, 3),
-        multihot(column("labels")),
-    )
+    positions, faces, barycentric = ([rec[key] for rec in recs] for key in fields)
+    faces = np.array(faces, dtype=np.int64)
+    return Samples(np.array(positions).reshape(-1, 3), faces, np.array(barycentric).reshape(-1, 3),
+                   _labels_of(mesh, faces))

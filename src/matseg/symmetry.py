@@ -4,16 +4,16 @@ Hypotheses come from one anchor component, after Mitra, Guibas & Pauly
 ("Partial and Approximate Symmetry Detection for 3D Geometry", SIGGRAPH
 2006): every symmetry of the shape maps the anchor onto a congruent
 component, so ICP fits of the anchor onto each congruent partner propose
-the shape's symmetries, as far as the starts reach them. The starts are a
-ring of rotations about the upright axis, optionally composed with the x or
-the y mirror for reflective symmetry; the z mirror is the x mirror turned
-half way about the upright axis, a start the ring already has. A component
-that stays on itself under a turn finer than the ring (a round top) would
-propose its own turns, so another serves as anchor where one can. The fits
-are clustered, each cluster's transform sharpened point-to-plane
-(Rusinkiewicz & Levoy, 3DIM 2001), and verified on the whole shape: a
-transform survives when it takes every component onto a congruent one. All
-those (component, target) pairs share its motion, so one joint
+the shape's symmetries, as far as the starts reach them. The starts are one
+stack of transforms, a ring of turns about the upright axis, each alone and
+composed with the x or the y mirror (the z mirror is the x mirror turned
+half way, a start the ring already has); ICP runs them all on one shared
+source cloud. A component that stays on itself under a turn finer than the
+ring (a round top) would propose its own turns, so another serves as anchor
+where one can. The fits are clustered, each cluster's transform sharpened
+point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001), and verified on the whole
+shape: a transform survives when it takes every component onto a congruent
+one. All those (component, target) pairs share its motion, so one joint
 point-to-plane refit over their stacked correspondences polishes it, and
 the refit's own last correspondences gate each pair. A pair that maps a
 component onto itself is also probed by a refit of that pair alone, which
@@ -73,10 +73,6 @@ class RigidTransform:
             raise ValueError("matrix is not orthogonal")
         if abs(abs(float(np.linalg.det(r))) - 1.0) > 1e-8:
             raise ValueError("matrix determinant is not +1 or -1")
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
 
     @property
     def det(self) -> float:
@@ -154,47 +150,47 @@ class SymmetryPair:
 
 
 def _kabsch_stack(centered, centroid, dst, det_sign):
-    """Best rigid fits of a stack of source clouds onto matched points.
+    """Best rigid fits of one source cloud onto a stack of matched points.
 
-    ``centered`` (s, n, 3) are the sources about their ``centroid`` (s, 3),
-    ``dst`` (s, n, 3) the matched targets; each fitted matrix has the
+    ``centered`` (n, 3) is the source about its ``centroid`` (3,), ``dst``
+    (s, n, 3) the targets each fit matched it to; each fitted matrix has the
     determinant sign in ``det_sign`` (s,). One batched SVD serves the stack.
     """
     dc = dst.mean(axis=1)
-    h = np.einsum("snk,snj->skj", centered, dst - dc[:, None, :])
+    h = np.einsum("nk,snj->skj", centered, dst - dc[:, None, :])
     u, _, vt = np.linalg.svd(h)
     v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
     d = np.ones((len(h), 3))
     d[:, 2] = det_sign * np.where(np.linalg.det(v @ ut) >= 0.0, 1.0, -1.0)
     r = (v * d[:, None, :]) @ ut
-    return r, dc - np.einsum("skj,sj->sk", r, centroid)
+    return r, dc - r @ centroid
 
 
-def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, abandon):
-    """ICP of a stack of starts onto one target cloud.
+def _icp_stack(source, target, tree, rotations, translations, max_iter, tol, abandon):
+    """ICP of one source cloud onto one target cloud from a stack of starts.
 
-    Start k moves ``sources[k]`` (n points) from ``rotations[k]``,
-    ``translations[k]``, and keeps that matrix's determinant sign. Each
-    sweep makes one KD query over the active starts and one stacked Kabsch
-    fit. A start stops once its rmsd changes by less than ``tol``; a start
-    still above ``abandon`` after 6 sweeps cannot reach the acceptance gate
-    and is cut short. Returns the rotations, translations and rmsds of
-    every start.
+    Start k moves the shared ``source`` (n points) from ``rotations[k]``
+    (a turn, or a turn composed with a mirror) and ``translations[k]``, and
+    keeps that matrix's determinant sign. Each sweep makes one KD query over
+    the active starts and one stacked Kabsch fit. A start stops once its
+    rmsd changes by less than ``tol``; one still above ``abandon`` after 6
+    sweeps cannot reach the acceptance gate and is cut short. Returns the
+    rotations, translations and rmsds of every start.
     """
-    n_starts, n = sources.shape[:2]
+    n = len(source)
     r = np.array(rotations, dtype=np.float64)
     t = np.array(translations, dtype=np.float64)
     det_sign = np.sign(np.linalg.det(r))
-    centroid = sources.mean(axis=1)
-    centered = sources - centroid[:, None, :]
+    centroid = source.mean(axis=0)
+    centered = source - centroid
 
     def sweep(active):
-        moved = np.einsum("snk,sjk->snj", sources[active], r[active]) + t[active, None, :]
+        moved = np.einsum("nk,sjk->snj", source, r[active]) + t[active, None, :]
         dist, idx = tree.query(moved.reshape(-1, 3))
         dist = dist.reshape(len(active), n)
         return np.sqrt(np.mean(dist * dist, axis=1)), idx.reshape(len(active), n)
 
-    active = np.arange(n_starts)
+    active = np.arange(len(r))
     rmsd, idx = sweep(active)
     for it in range(max_iter):
         if it >= 6:
@@ -202,9 +198,7 @@ def _icp_stack(sources, target, tree, rotations, translations, max_iter, tol, ab
             active, idx = active[keep], idx[keep]
         if len(active) == 0:
             break
-        r[active], t[active] = _kabsch_stack(
-            centered[active], centroid[active], target[idx], det_sign[active]
-        )
+        r[active], t[active] = _kabsch_stack(centered, centroid, target[idx], det_sign[active])
         new, idx = sweep(active)
         done = np.abs(rmsd[active] - new) < tol
         rmsd[active] = new
@@ -273,12 +267,6 @@ def _congruent(a: np.ndarray, b: np.ndarray, accept: float) -> bool:
     return bool(np.all(np.abs(a - b) <= np.maximum(0.25 * np.maximum(a, b), 2.0 * accept)))
 
 
-def _axis_mirror(axis: int, center: np.ndarray) -> RigidTransform:
-    r = np.eye(3)
-    r[axis, axis] = -1.0
-    return RigidTransform(r, center - r @ center)
-
-
 def _spins(source: np.ndarray, target: np.ndarray, tree: cKDTree, accept: float) -> bool:
     """Whether a turn of half the start ring's step about the upright axis
     through the component's centroid keeps its cloud on itself under the
@@ -289,9 +277,10 @@ def _spins(source: np.ndarray, target: np.ndarray, tree: cKDTree, accept: float)
     return bool(np.sqrt(np.mean(dist * dist)) < accept)
 
 
-def _is_trivial(t: RigidTransform) -> bool:
-    # identity and pure translations carry no label-coupling information
-    return t.det > 0 and t.angle_axis()[0] < _TRIVIAL_ANGLE
+def _trivial(rotations: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, whether it turns by less than _TRIVIAL_ANGLE:
+    the identity and pure translations carry no label-coupling information."""
+    return (np.linalg.det(rotations) > 0.0) & (angle_axes(rotations)[0] < _TRIVIAL_ANGLE)
 
 
 def detect_symmetries(
@@ -308,15 +297,14 @@ def detect_symmetries(
     lowest index. A component that a turn of half the ring's step about
     the upright axis keeps on itself under the gate is passed over when
     another will serve. The anchor's cloud is fitted onto every partner
-    under three variants: direct, and mirrored across the x and the y
-    plane through the bounding-sphere center. Each variant runs ICP from
-    8 rotations about the upright axis, all 24 starts onto one partner as
-    one stack.
-    Fits with rmsd below ``rmsd_threshold * bounding_radius`` are kept,
-    and for a partner other than the anchor their inverses stand for the
-    pair (partner, anchor). Near-identity and translation-only fits are
-    discarded, and the survivors clustered by angle/axis/translation
-    proximity into distinct transforms.
+    from 24 starts, run as one stack on that one cloud: 8 turns about the
+    upright axis, each alone and composed with the x and the y mirror,
+    each with the translation that carries the anchor's centroid onto the
+    partner's. Fits with rmsd below ``rmsd_threshold * bounding_radius``
+    are kept, and for a partner other than the anchor each is followed by
+    its inverse, which stands for the pair (partner, anchor). Near-identity
+    and translation-only fits are discarded, and the survivors clustered by
+    angle/axis/translation proximity into distinct transforms.
 
     Each cluster's averaged transform is sharpened by a point-to-plane
     refit of one member pair's sparse source cloud, then checked on the
@@ -347,7 +335,6 @@ def detect_symmetries(
         targets.append(cloud)
         normals.append(mesh.face_normals[picked])
 
-    tol = 1e-9 * radius
     accept = rmsd_threshold * radius
     refit_iter = min(max_iter, _REFIT_MAX_ITER)
 
@@ -370,45 +357,48 @@ def detect_symmetries(
     order = sorted(valid, key=lambda c: (len(partners[c]), -areas[c], c))
     anchor = next((c for c in order if not _spins(sources[c], targets[c], trees[c], accept)), order[0])
 
-    # every start onto one partner runs as one stack; mirroring the source
-    # cloud instead of the target keeps one tree per partner for all three
-    # variants. A fit of the anchor onto j, inverted, maps j onto the anchor.
-    variants = [RigidTransform.identity(), _axis_mirror(0, center), _axis_mirror(1, center)]
-    angles = [2.0 * np.pi * k / _N_INIT_ROTATIONS for k in range(_N_INIT_ROTATIONS)]
-    starts = [variant for variant in variants for _ in angles]
-    stack = np.stack([variant.apply(sources[anchor]) for variant in starts])
-    r0 = np.stack([y_rotation(angle) for _ in variants for angle in angles])
-    src_centroids = np.einsum("skj,sj->sk", r0, stack.mean(axis=1))
-    candidates: list[tuple[RigidTransform, int, int, float]] = []
+    # the starts, mirrors outer and turns inner (a turn composed with a
+    # mirror is the turn with the mirrored columns negated), each translated
+    # to carry the anchor's centroid onto the partner's
+    turns = np.stack([y_rotation(2.0 * np.pi * k / _N_INIT_ROTATIONS) for k in range(_N_INIT_ROTATIONS)])
+    mirrors = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+    starts = (mirrors[:, None, None, :] * turns).reshape(-1, 3, 3)
+    cloud = sources[anchor]
+    turned_centroid = starts @ cloud.mean(axis=0)
+    # candidate rows: rotation, translation, source, target, rmsd
+    columns = []
     for j in partners[anchor]:
         # coarse tolerance: candidates only need to land in the right
         # cluster, the sharpening and refinement passes repolish
-        rots, trans, rmsds = _icp_stack(
-            stack, targets[j], trees[j], r0, targets[j].mean(axis=0) - src_centroids,
-            max_iter, max(tol, 0.02 * accept), abandon=3.0 * accept,
+        r, t, rmsd = _icp_stack(
+            cloud, targets[j], trees[j], starts, targets[j].mean(axis=0) - turned_centroid,
+            max_iter, 0.02 * accept, abandon=3.0 * accept,
         )
-        for variant, r, t, rmsd in zip(starts, rots, trans, rmsds):
-            full = RigidTransform(r, t).compose(variant)
-            if rmsd >= accept or _is_trivial(full):
-                continue
-            candidates.append((full, anchor, j, float(rmsd)))
-            if j != anchor:
-                candidates.append((full.inverse(), j, anchor, float(rmsd)))
+        keep = (rmsd < accept) & ~_trivial(r)
+        r, t, rmsd = r[keep], t[keep], rmsd[keep]
+        # a fit onto a partner other than the anchor is followed by its
+        # inverse, which maps the partner onto the anchor
+        rt = r.transpose(0, 2, 1)
+        sides = 1 if j == anchor else 2
+        columns.append((
+            np.stack([r, rt], axis=1)[:, :sides].reshape(-1, 3, 3),
+            np.stack([t, -np.einsum("skj,sj->sk", rt, t)], axis=1)[:, :sides].reshape(-1, 3),
+            np.tile([anchor, j][:sides], len(r)), np.tile([j, anchor][:sides], len(r)),
+            np.repeat(rmsd, sides),
+        ))
+    candidates = (np.concatenate(column) for column in zip(*columns))
 
     # sharpen each cluster's averaged representative point-to-plane on one
     # member pair's sparse cloud, an anchor-source pair where there is one
     best: dict[int, DetectedSymmetry] = {}
-    by_fit = sorted(_cluster(candidates, radius), key=lambda s: (s.source_component != anchor, s.rmsd))
-    for sym in by_fit:
+    for sym in sorted(_cluster(*candidates, radius), key=lambda s: (s.source_component != anchor, s.rmsd)):
         best.setdefault(sym.transform_id, sym)
-    reps = []
-    for sym in best.values():
-        fit = _refit(
-            [(sources[sym.source_component], sym.target_component)], targets, normals, trees,
-            sym.transform, refit_iter, center, radius,
-        )[0]
-        if not _is_trivial(fit):
-            reps.append(fit)
+    fits = [
+        _refit([(sources[s.source_component], s.target_component)], targets, normals, trees,
+               s.transform, refit_iter, center, radius)[0]
+        for s in best.values()
+    ]
+    reps = [fit for fit in fits if not _trivial(fit.rotation[None])[0]]
 
     # a pair of congruent components (two identical legs, a cylinder onto
     # itself at any offset) fits under the gate without being a symmetry
@@ -423,13 +413,13 @@ def detect_symmetries(
     # pair onto itself is dropped when its own refit from the joint fit
     # moves its sparse cloud by the gate (rms), to a congruence of that
     # component alone (the top's own 112.5 degrees).
-    refit: list[tuple[RigidTransform, int, int, float]] = []
+    refit = []  # rows as the candidates': rotation, translation, source, target, rmsd
     for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
         if not pairs:
             continue
         moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
         fit, dists = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
-        if _is_trivial(fit):
+        if _trivial(fit.rotation[None])[0]:
             continue
         for (c, j), pair, dist in zip(pairs, moving, dists):
             rmsd = float(np.sqrt(np.mean(dist * dist)))
@@ -440,8 +430,8 @@ def detect_symmetries(
                 slide = probe.apply(sources[c]) - fit.apply(sources[c])
                 if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
                     continue
-            refit.append((fit, c, j, rmsd))
-    return _cluster(refit, radius)
+            refit.append((fit.rotation, fit.translation, c, j, rmsd))
+    return _cluster(*(np.array(column) for column in zip(*refit)), radius) if refit else []
 
 
 def _arrangement(
@@ -489,36 +479,27 @@ def _arrangement(
     ]
 
 
-def _mean_transform(transforms: list[RigidTransform]) -> RigidTransform:
-    """Chordal mean: SVD projection of the averaged rotation matrix.
+def _cluster(rotations, translations, sources, targets, rmsds, radius: float) -> list[DetectedSymmetry]:
+    """Group candidate transforms into distinct symmetries.
 
-    All members share one determinant sign (clusters never mix kinds), so
-    the projection is constrained to that sign.
+    Candidate k maps component ``sources[k]`` onto ``targets[k]`` by
+    ``rotations[k]`` and ``translations[k]``, with fit error ``rmsds[k]``.
+    Returns one entry per (cluster, source, target), in that order, holding
+    the cluster's chordal mean and the pair's best rmsd.
     """
-    rot = np.mean([t.rotation for t in transforms], axis=0)
-    u, _, vt = np.linalg.svd(rot)
-    if np.linalg.det(u @ vt) * transforms[0].det < 0:
-        u[:, -1] = -u[:, -1]
-    translation = np.mean([t.translation for t in transforms], axis=0)
-    return RigidTransform(u @ vt, translation)
-
-
-def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
-    m = len(candidates)
-    if m == 0:
+    if len(rmsds) == 0:
         return []
     # two candidates are linked when they have the same kind, close angles,
     # axes (either sign at a half turn; any axis near the identity) and
     # translations; tested for all pairs at once, as candidate counts reach
     # the hundreds. Clusters are the connected groups of links, numbered in
     # the order of their first candidate.
-    dets = np.array([c[0].det for c in candidates])
-    trans = np.stack([c[0].translation for c in candidates])
-    angs, axes = angle_axes(np.stack([c[0].rotation for c in candidates]))
+    dets = np.sign(np.linalg.det(rotations))
+    angs, axes = angle_axes(rotations)
 
     same = dets[:, None] == dets[None, :]
     same &= np.abs(angs[:, None] - angs[None, :]) <= _CLUSTER_ANGLE
-    diff = trans[:, None, :] - trans[None, :, :]
+    diff = translations[:, None, :] - translations[None, :, :]
     same &= np.einsum("abk,abk->ab", diff, diff) <= (_CLUSTER_TRANSLATION * radius) ** 2
     dots = np.clip(axes @ axes.T, -1.0, 1.0)
     near_pi = angs > np.pi - _CLUSTER_ANGLE
@@ -527,31 +508,29 @@ def _cluster(candidates, radius: float) -> list[DetectedSymmetry]:
     small = angs <= _TRIVIAL_ANGLE
     axis_ok |= small[:, None] & small[None, :]
     same &= axis_ok
-    cluster_ids = connected_components(csr_matrix(same), directed=False)[1]
+    n_clusters, ids = connected_components(csr_matrix(same), directed=False)
 
-    members: dict[int, list[RigidTransform]] = {}
-    pair_best: dict[tuple[int, int, int], float] = {}
-    for (t, i, j, rmsd), cid in zip(candidates, cluster_ids.tolist()):
-        members.setdefault(cid, []).append(t)
-        key = (cid, i, j)
-        if key not in pair_best or rmsd < pair_best[key]:
-            pair_best[key] = rmsd
+    # each cluster's chordal mean, which cancels the per-fit sampling noise:
+    # the SVD projection of its averaged rotation matrix, constrained to its
+    # members' determinant sign (clusters never mix kinds)
+    sums = np.zeros((n_clusters, 12))
+    np.add.at(sums, ids, np.hstack([rotations.reshape(-1, 9), translations]))
+    means = sums / np.bincount(ids)[:, None]
+    u, _, vt = np.linalg.svd(means[:, :9].reshape(-1, 3, 3))
+    first = np.unique(ids, return_index=True)[1]
+    u[np.linalg.det(u @ vt) * dets[first] < 0.0, :, -1] *= -1.0
+    representative = [RigidTransform(r, t) for r, t in zip(u @ vt, means[:, 9:])]
 
-    # averaging the members cancels the per-fit sampling noise
-    representative = {cid: _mean_transform(ts) for cid, ts in members.items()}
-
-    out = [
-        DetectedSymmetry(
-            transform=representative[cid],
-            source_component=i,
-            target_component=j,
-            rmsd=rmsd,
-            transform_id=cid,
-        )
-        for (cid, i, j), rmsd in pair_best.items()
+    # the best rmsd per (cluster, source, target): the stable sort keeps
+    # candidate order among equal rmsds, and the first row of a key wins
+    order = np.lexsort((rmsds, targets, sources, ids))
+    key = np.stack([ids, sources, targets], axis=1)[order]
+    head = order[np.r_[True, (key[1:] != key[:-1]).any(axis=1)]]
+    return [
+        DetectedSymmetry(representative[cid], i, j, rmsd, cid)
+        for cid, i, j, rmsd in zip(ids[head].tolist(), sources[head].tolist(),
+                                   targets[head].tolist(), rmsds[head].tolist())
     ]
-    out.sort(key=lambda d: (d.transform_id, d.source_component, d.target_component))
-    return out
 
 
 def unique_transforms(symmetries: list[DetectedSymmetry]) -> dict[int, RigidTransform]:

@@ -303,8 +303,6 @@ def replace_line(n, old, new):
      "line 4: face -1 is not one of the mesh's"),
     ("samples.jsonl", replace_line(5, '"face": ', '"face": 1000000, "x": '),
      "line 5: face 1000000 is not one of the mesh's"),
-    ("samples.jsonl", replace_line(6, '"labels": [', '"labels": ["sand", '),
-     "line 6: unknown material 'sand'"),
     ("samples.jsonl", replace_line(7, '"position": [', '"position": [NaN, '),
      "line 7: expected 3 finite numbers"),
     ("samples.jsonl", lambda lines: lines[:-1] + [lines[-1][:30]], "line 30: invalid JSON"),
@@ -345,8 +343,40 @@ def test_cli_infer_rejects_pair_outside_mesh(tmp_path, caplog):
     caplog.clear()
     assert cli.main(["infer", "--shape", str(out)]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "dist: edge references an invalid face" in errors[0]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: face 1000000 is not one of the mesh's")
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("command", ["infer", "train-crf"])
+def test_cli_names_a_stale_stage_file(tmp_path, caplog, command):
+    """Stage files left from an earlier run that no longer fit: sample
+    probabilities for more samples than samples.jsonl now holds, then
+    symmetry pairs from a mesh with more faces. The error names the file."""
+    from matseg.crf import save_sample_probs
+    from matseg.symmetry import SymmetryPair, save_symmetry_pairs
+
+    out = infer_ready_shape(tmp_path)
+    argv = {"infer": ["infer", "--shape", str(out)],
+            "train-crf": ["train-crf", "--data", str(tmp_path), "--out", str(tmp_path / "w.json"),
+                          "--set", "crf.iters=1"]}[command]
+
+    def error():
+        caplog.clear()
+        assert cli.main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "Traceback" not in caplog.text
+        return errors[0]
+
+    assert cli.main(["sample", "--shape", str(out), "-n", "60", "-k", "15"]) == 0
+    probs = out / "sample_probs.jsonl"
+    assert error() == f"{probs}: probabilities of shape (30, 5) for 15 samples in samples.jsonl"
+    save_sample_probs(str(probs), np.full((15, 5), 0.2))
+    n = load_obj(str(out / "mesh.obj")).n_faces
+    pairs = out / "symmetry_pairs.jsonl"
+    save_symmetry_pairs(str(pairs), [SymmetryPair(0, 4, 0.125, 0), SymmetryPair(n + 7, 3, 0.25, 0)])
+    assert error() == f"{pairs}: face {n + 7} is not one of the mesh's {n} faces; the file is from another mesh"
+    save_symmetry_pairs(str(pairs), [SymmetryPair(0, 4, 0.125, 0)])
+    assert cli.main(argv) == 0
 
 
 def set_key(key, value):

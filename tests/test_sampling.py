@@ -256,4 +256,20 @@ def test_samples_round_trip(tmp_path):
     assert np.array_equal(back.labels, samples.labels)
     assert np.allclose(back.positions, samples.positions)
     assert np.allclose(back.barycentric, samples.barycentric)
-    assert all(json.loads(line)["visible"] is True for line in path.read_text().splitlines())
+    lines = path.read_text().splitlines()
+    assert all(json.loads(line).keys() == {"position", "face", "barycentric"} for line in lines)
+
+
+def test_samples_with_stored_labels_still_load(tmp_path):
+    """Lines that also carry labels and a visible flag, as older files do,
+    load as before; the labels come from the mesh, not from the line."""
+    mesh = attach_labels(two_triangles_9_to_1(), {"big": ["wood"], "small": ["glass"]})
+    samples = sample_surface_points(mesh, 10, seed=2)
+    path = tmp_path / "samples.jsonl"
+    save_samples(str(path), samples)
+    lines = [{**json.loads(line), "labels": ["sand"] if i == 0 else ["metal"], "visible": True}
+             for i, line in enumerate(path.read_text().splitlines())]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    back = load_samples(str(path), mesh)
+    assert np.array_equal(back.faces, samples.faces)
+    assert np.array_equal(back.labels, samples.labels)
