@@ -4,14 +4,14 @@ Each material m gets one binary variable per face. Unaries come from the
 nearest sampled point's predicted probabilities. Three pairwise factor
 families couple faces: surface adjacency (coefficient = dihedral angle
 over pi), geodesic proximity (normalized distance), and detected symmetry
-(normalized residual). For a family with squared coefficient k and weights
-(scale W, symmetric 2x2 table T):
+(normalized residual). For a family with squared coefficient k and a
+material's symmetric, nonnegative 2x2 weight table T:
 
-    log phi(l, l)  = -W * T[l, l] * k
-    log phi(l, l') = -W * T[l, l'] * (1 - k)   for l != l'
+    log phi(l, l)  = -T[l, l] * k
+    log phi(l, l') = -T[l, l'] * (1 - k)   for l != l'
 
-CrfWeights stacks every material's W and T in FAMILIES order, as (3, M)
-scales and (3, M, 2, 2) tables; the weight gradients take the same shapes.
+CrfWeights stacks every material's T in FAMILIES order as (3, M, 2, 2)
+tables; the log score is linear in them, and its gradient takes the same shape.
 
 Inference is synchronous mean field whose step grows to the full update
 and backtracks on a rise, so the free energy never rises; training is
@@ -34,7 +34,7 @@ from scipy.spatial import cKDTree
 from scipy.special import expit, logsumexp
 
 from .config import CrfConfig
-from .errors import InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
+from .errors import InterchangeError, InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
 from .jsonl import check_record, finite_array, one_of, read_json, read_jsonl, unit, write_json, write_jsonl
 from .materials import MATERIALS, NUM_MATERIALS, material_indices
 from .mesh import FacePairs, LabeledMesh
@@ -47,34 +47,32 @@ PROB_CLAMP = 1e-6
 _ROUNDING = 1e-12
 _MAX_HALVINGS = 20
 _ORACLE_LIMIT = 20
-_WEIGHTS_FORMAT = "crf-weights-v1"
+_WEIGHTS_FORMAT = "crf-weights-v2"
+# the earlier layout: each table times a per-material scale
+_V1_FORMAT = "crf-weights-v1"
 
 
 class CrfWeights:
-    """Per-material factor weights stacked in FAMILIES order: ``scales``
-    (families, M) and symmetric 2x2 ``tables`` (families, M, 2, 2), index i
-    belonging to FAMILIES[i]. The crf-weights-v1 document keys both by name.
+    """Per-material symmetric 2x2 weight ``tables`` (families, M, 2, 2)
+    stacked in FAMILIES order, index i belonging to FAMILIES[i]. The
+    crf-weights-v2 document keys them by family name.
     """
 
-    __slots__ = ("materials", "scales", "tables")
+    __slots__ = ("materials", "tables")
 
-    def __init__(self, materials, scales, tables):
+    def __init__(self, materials, tables):
         self.materials = tuple(materials)
-        shape = (len(FAMILIES), len(self.materials))
-        self.scales = np.array(scales, dtype=np.float64).reshape(shape)
-        self.tables = np.array(tables, dtype=np.float64).reshape(*shape, 2, 2)
+        self.tables = np.array(tables, dtype=np.float64).reshape(len(FAMILIES), len(self.materials), 2, 2)
 
     @classmethod
     def ones(cls, materials=MATERIALS) -> "CrfWeights":
-        shape = (len(FAMILIES), len(materials))
-        return cls(materials, np.ones(shape), np.ones((*shape, 2, 2)))
+        return cls(materials, np.ones((len(FAMILIES), len(materials), 2, 2)))
 
     def copy(self) -> "CrfWeights":
-        return CrfWeights(self.materials, self.scales, self.tables)
+        return CrfWeights(self.materials, self.tables)
 
     def project(self) -> None:
-        """Clip to nonnegative and re-symmetrize the tables in place."""
-        np.maximum(self.scales, 0.0, out=self.scales)
+        """Re-symmetrize and clip the tables to nonnegative in place."""
         t = self.tables
         off = 0.5 * (t[..., 0, 1] + t[..., 1, 0])
         t[..., 0, 1] = t[..., 1, 0] = off
@@ -84,17 +82,23 @@ class CrfWeights:
         return {
             "format": _WEIGHTS_FORMAT,
             "materials": list(self.materials),
-            "scales": dict(zip(FAMILIES, self.scales.tolist())),
             "tables": dict(zip(FAMILIES, self.tables.tolist())),
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CrfWeights":
-        """Projected weights from a to_obj document over MATERIALS; ValueError
-        for anything else."""
+        """Projected weights from a to_obj document over MATERIALS, or from a
+        crf-weights-v1 one as its tables times their nonnegative scales;
+        ValueError for anything else, or for a weight beyond the float range."""
         check_record(obj, _WEIGHT_FIELDS)
-        w = cls(obj["materials"], [obj["scales"][f] for f in FAMILIES], [obj["tables"][f] for f in FAMILIES])
-        w.project()
+        w = cls(obj["materials"], [obj["tables"][f] for f in FAMILIES])
+        with np.errstate(over="ignore"):  # rejected below
+            if obj["format"] == _V1_FORMAT:
+                scales = check_record(obj, _V1_FIELDS)["scales"]
+                w.tables *= np.maximum([scales[f] for f in FAMILIES], 0.0)[..., None, None]
+            w.project()
+        if not np.isfinite(w.tables).all():
+            raise ValueError("a weight overflows the float range")
         return w
 
     def save(self, path: str) -> None:
@@ -102,9 +106,13 @@ class CrfWeights:
 
     @classmethod
     def load(cls, path: str) -> "CrfWeights":
-        """Read weights written by save; InterchangeError names a file that
-        from_obj would reject."""
-        return cls.from_obj(read_json(path, _WEIGHT_FIELDS))
+        """Read weights written by save, or a crf-weights-v1 file;
+        InterchangeError names a file that from_obj would reject."""
+        doc = read_json(path, _WEIGHT_FIELDS)
+        try:
+            return cls.from_obj(doc)
+        except ValueError as exc:
+            raise InterchangeError(path, str(exc)) from None
 
 
 def _per_family(shape):
@@ -120,11 +128,11 @@ def _per_family(shape):
 
 # materials in any order but MATERIALS' would apply each weight to another one
 _WEIGHT_FIELDS = {
-    "format": (str, one_of(_WEIGHTS_FORMAT)),
+    "format": (str, one_of(_WEIGHTS_FORMAT, _V1_FORMAT)),
     "materials": (list, one_of(list(MATERIALS))),
-    "scales": (dict, _per_family((NUM_MATERIALS,))),
     "tables": (dict, _per_family((NUM_MATERIALS, 2, 2))),
 }
+_V1_FIELDS = {"scales": (dict, _per_family((NUM_MATERIALS,)))}
 
 
 @dataclass
@@ -284,10 +292,9 @@ def _field_terms(graph: CrfGraph):
     """
     rs = graph._coupling.row_sums
     live = [i for i, f in enumerate(FAMILIES) if len(graph.edges[f])]
-    scales, t = graph.weights.scales[live], graph.weights.tables[live]
-    a00 = scales * t[..., 0, 0]
-    a01 = scales * t[..., 0, 1]
-    coef = np.stack([a00 + scales * t[..., 1, 1], -2.0 * a01], axis=1).reshape(-1, graph.n_materials)
+    t = graph.weights.tables[live]
+    a00, a01 = t[..., 0, 0], t[..., 0, 1]
+    coef = np.stack([a00 + t[..., 1, 1], -2.0 * a01], axis=1).reshape(-1, graph.n_materials)
     log_u1 = np.log(graph.unary)
     log_u0 = np.log(1.0 - graph.unary)
     offset = (log_u1 - log_u0).T
@@ -444,10 +451,8 @@ def _log_scores(graph: CrfGraph, terms, m=slice(None)) -> np.ndarray:
     """Log unnormalized probability of each row from its _score_terms,
     under the graph's current weights (material m's, with an integer m)."""
     scores, stats = terms
-    w = graph.weights
-    for i, (s00, s11, s01) in enumerate(stats):
-        t = w.tables[i, m]
-        scores = scores - w.scales[i, m] * (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
+    for t, (s00, s11, s01) in zip(graph.weights.tables[:, m], stats):
+        scores = scores - (t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
     return scores
 
 
@@ -504,31 +509,22 @@ def predict_labels(marginals: Marginals, threshold: float = CrfConfig.label_thre
     return PredictedLabels(top1=top1.astype(np.int64), label_sets=sets)
 
 
-def _score_gradient(weights: CrfWeights, stats: np.ndarray):
-    """Gradient of the assignment score wrt the scales and the tables, from
-    the _pair_stats of the values (exact for binary labels)."""
-    s00, s11, s01 = stats.transpose(1, 0, 2)
-    t = weights.tables
-    g_scales = -(t[..., 0, 0] * s00 + t[..., 1, 1] * s11 + t[..., 0, 1] * s01)
-    g_tables = -weights.scales[..., None, None] * np.stack([s00, s01, s01, s11], axis=-1).reshape(t.shape)
-    return g_scales, g_tables
-
-
 def crf_gradient(graph: CrfGraph, max_iter: int = CrfConfig.infer_iter, tol: float = CrfConfig.infer_tol):
-    """(data - model) gradient of log P(truth) wrt the graph's weights.
+    """(data - model) gradient of log P(truth) wrt the graph's weight tables.
 
-    The model expectation uses mean-field marginals with pairwise terms
-    factorized as q_a * q_b. Returns (gradient scales, gradient tables,
-    approximate log-likelihood), the gradients shaped like the weights; the
+    The log score is linear in the tables, so the gradient is the model's
+    pair statistics minus the truth's, laid out like the tables. The model
+    expectation uses mean-field marginals with pairwise terms factorized as
+    q_a * q_b. Returns (gradient, approximate log-likelihood); the
     likelihood approximates log Z by the negative final free energy.
     """
     if graph.truth is None:
         raise MissingDataError("training graph lacks ground-truth labels")
     marg = mean_field_infer(graph, max_iter=max_iter, tol=tol)
-    data_s, data_t = _score_gradient(graph.weights, graph._truth_terms[1])
-    model_s, model_t = _score_gradient(graph.weights, _pair_stats(graph, marg.q))
+    s00, s11, s01 = (_pair_stats(graph, marg.q) - graph._truth_terms[1]).transpose(1, 0, 2)
+    gradient = np.stack([s00, s01, s01, s11], axis=-1).reshape(graph.weights.tables.shape)
     approx_ll = float(_log_scores(graph, graph._truth_terms).sum() + marg.free_energy[-1])
-    return data_s - model_s, data_t - model_t, approx_ll
+    return gradient, approx_ll
 
 
 def train_crf(
@@ -541,9 +537,10 @@ def train_crf(
 ) -> tuple[CrfWeights, list[float]]:
     """Gradient ascent on the dataset-mean approximate log-likelihood.
 
-    All graphs share one weight object; weights start at ones unless given,
-    and are projected to nonnegative after every step. The trace holds the
-    mean approximate log-likelihood evaluated before each step.
+    All graphs share one weight object. Its tables start at ones unless
+    given, take one step along the dataset-mean gradient per iteration, and
+    are projected to symmetric and nonnegative after every step. The trace
+    holds the mean approximate log-likelihood evaluated before each step.
     """
     if not dataset:
         raise MissingDataError("no training graphs")
@@ -553,18 +550,15 @@ def train_crf(
     weights = init.copy() if init is not None else CrfWeights.ones(dataset[0].materials)
     trace = []
     for _ in range(iters):
-        acc_s = np.zeros_like(weights.scales)
-        acc_t = np.zeros_like(weights.tables)
+        acc = np.zeros_like(weights.tables)
         ll = 0.0
         for g in dataset:
             g.weights = weights
-            g_s, g_t, g_ll = crf_gradient(g, max_iter=infer_iter, tol=infer_tol)
-            acc_s += g_s
-            acc_t += g_t
+            grad, g_ll = crf_gradient(g, max_iter=infer_iter, tol=infer_tol)
+            acc += grad
             ll += g_ll
         trace.append(ll / len(dataset))
-        weights.scales += lr * acc_s / len(dataset)
-        weights.tables += lr * acc_t / len(dataset)
+        weights.tables += lr * acc / len(dataset)
         weights.project()
     for g in dataset:
         g.weights = weights

@@ -290,10 +290,13 @@ class PairBatch:
 class PairSampler:
     """Draws pairs at a 1:4 positive:negative ratio with combination cycling.
 
-    Positives cycle the 5 same-material combinations; negatives cycle the
-    10 unordered distinct-material combinations. A drawn negative whose two
-    samples share any ground-truth label is rejected and redrawn; after
-    1000 rejections the combination is skipped and counted in ``skipped``.
+    Positives cycle the same-material combinations (k, k) that two samples
+    hold; negatives cycle the unordered distinct-material combinations
+    (a, b) for which some label set holding a and some label set holding b
+    share no label. A drawn negative whose two samples share any
+    ground-truth label is rejected and redrawn; after 1000 rejections the
+    combination is skipped and counted in ``skipped``, as is every slot of
+    a kind that has no combination to cycle.
     """
 
     MAX_REJECTS = 1000
@@ -303,25 +306,24 @@ class PairSampler:
         self.labels = np.asarray(labels, dtype=np.float64)
         m = self.labels.shape[1]
         self.rng = np.random.default_rng(seed)
-        self.by_material = [np.flatnonzero(self.labels[:, k] > 0) for k in range(m)]
-        self.pos_combos = [(k, k) for k in range(m)]
-        self.neg_combos = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        held = self.labels > 0
+        self.by_material = [np.flatnonzero(held[:, k]) for k in range(m)]
+        # apart[a, b]: some label set holding a and some holding b are disjoint
+        sets = np.unique(held, axis=0).astype(np.int64)
+        apart = sets.T @ (sets @ sets.T == 0) @ sets > 0
+        self.pos_combos = [(k, k) for k in range(m) if len(self.by_material[k]) >= 2]
+        self.neg_combos = [(a, b) for a in range(m) for b in range(a + 1, m) if apart[a, b]]
         self._pos_at = 0
         self._neg_at = 0
         self.skipped = 0
 
     def _draw_positive(self, m: int):
-        pool = self.by_material[m]
-        if len(pool) < 2:
-            return None
-        a, b = self.rng.choice(pool, size=2, replace=False)
+        a, b = self.rng.choice(self.by_material[m], size=2, replace=False)
         return int(a), int(b)
 
     def _draw_negative(self, m1: int, m2: int):
         pool_a = self.by_material[m1]
         pool_b = self.by_material[m2]
-        if len(pool_a) == 0 or len(pool_b) == 0:
-            return None
         for _ in range(self.MAX_REJECTS):
             a = int(self.rng.choice(pool_a))
             b = int(self.rng.choice(pool_b))
@@ -334,7 +336,9 @@ class PairSampler:
         produced = 0
         while produced < n_pairs:
             want_positive = produced % 5 == 0
-            if want_positive:
+            if not (self.pos_combos if want_positive else self.neg_combos):
+                pair = None
+            elif want_positive:
                 combo = self.pos_combos[self._pos_at % len(self.pos_combos)]
                 self._pos_at += 1
                 pair = self._draw_positive(combo[0])

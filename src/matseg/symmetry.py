@@ -86,17 +86,6 @@ class RigidTransform:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self.compose(other)).apply(x) = self(other(x))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
     def angle_axis(self) -> tuple[float, np.ndarray]:
         """Rotation angle in [0, pi] and unit axis; see angle_axes."""
         angles, axes = angle_axes(self.rotation[None])
@@ -531,10 +520,6 @@ def _cluster(rotations, translations, sources, targets, rmsds, radius: float) ->
         for cid, i, j, rmsd in zip(ids[head].tolist(), sources[head].tolist(),
                                    targets[head].tolist(), rmsds[head].tolist())
     ]
-
-
-def unique_transforms(symmetries: list[DetectedSymmetry]) -> dict[int, RigidTransform]:
-    return {s.transform_id: s.transform for s in symmetries}
 
 
 def symmetry_pairs(

@@ -6,7 +6,6 @@ import os
 import sys
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
@@ -20,8 +19,6 @@ from matseg.descriptor import predict_probs  # noqa: E402
 from matseg.sampling import positions_of  # noqa: E402
 
 
-# one table has few material combinations, so the pair sampler skips draws
-@pytest.mark.filterwarnings("ignore:skipped .* pair draws")
 def test_benchmark_steps_run_on_a_small_suite_shape():
     tr = NullTracer()
     [(_, spec, mesh)] = workloads.generate_shapes(tr, 1, [0])

@@ -420,7 +420,7 @@ def resize_net(layer_sizes, n_classes):
     ("net.json", resize_net((32, 16, 8, 4), 5), "a net from 32 features to 5 classes"),
     ("net.json", resize_net((64, 16, 8, 4), 2), "a net from 64 features to 2 classes"),
     ("crf_weights.json", lambda text: text[:len(text) // 2], "invalid JSON"),
-    ("crf_weights.json", set_key("scales", {}), "expected an entry for each of ['adj', 'dist', 'sym']"),
+    ("crf_weights.json", set_key("tables", {}), "expected an entry for each of ['adj', 'dist', 'sym']"),
     ("crf_weights.json", lambda text: f"[{text}]", "expected {format: str, materials: list,"),
     ("crf_weights.json", set_key("materials", lambda names: names[::-1]),
      "expected ['wood', 'plastic', 'metal', 'glass', 'fabric'], got ['fabric',"),
@@ -499,3 +499,22 @@ def test_cli_train_desc_takes_truth_from_the_labels_file(tmp_path, monkeypatch, 
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(path) in errors[0] and "not found" in errors[0]
     assert not (tmp_path / "again.json").exists()
+
+
+def test_trained_crf_weights_stay_bounded(tmp_path, caplog):
+    """Criterion 9's pipeline: training steps each weight-table entry
+    directly, so no entry and no logged score runs away (a per-material
+    scale times its table once grew both, to an entry of 108,443 and a
+    score of 1,170,592)."""
+    from test_acceptance import run_pipeline
+
+    from matseg.crf import FAMILIES
+
+    caplog.set_level(logging.INFO, logger="matseg")
+    run_pipeline(tmp_path)
+    doc = json.loads((tmp_path / "shapes" / "crf_weights.json").read_text(encoding="utf-8"))
+    tables = np.array([doc["tables"][f] for f in FAMILIES])
+    assert tables.max() < 100.0, tables.max()
+    (last,) = [float(m.group(1)) for r in caplog.records
+               if (m := re.match(r"train-crf: .* score \S+ -> (\S+) ->", r.getMessage()))]
+    assert abs(last) < 1000.0, last

@@ -60,11 +60,11 @@ def hand_enumeration(graph):
     probs = []
     for config in itertools.product((0, 1), repeat=n):
         logp = sum(math.log(u[f]) if config[f] else math.log(1 - u[f]) for f in range(n))
-        for fam, scale, table in zip(FAMILIES, w.scales[:, 0], w.tables[:, 0]):
+        for fam, table in zip(FAMILIES, w.tables[:, 0]):
             for (a, b), k in zip(graph.edges[fam], graph.coeffs[fam]):
                 la, lb = config[a], config[b]
                 coeff = k if la == lb else 1.0 - k
-                logp -= scale * float(table[la, lb]) * coeff
+                logp -= float(table[la, lb]) * coeff
         probs.append((config, math.exp(logp)))
     z = sum(p for _, p in probs)
     q = np.zeros(n)
@@ -151,7 +151,7 @@ def test_unary_rows_complement():
 
 def test_zero_pairwise_beliefs_equal_unaries():
     w = CrfWeights.ones(("wood",))
-    w.scales[:] = 0.0
+    w.tables[:] = 0.0
     g = one_material_graph([0.9, 0.2, 0.65], adj=[(0, 1, 0.3), (1, 2, 0.7)], weights=w)
     marg = mean_field_infer(g)
     assert np.max(np.abs(marg.q - g.unary)) < 1e-12
@@ -160,9 +160,9 @@ def test_zero_pairwise_beliefs_equal_unaries():
 
 
 def test_strong_equality_edge_lifts_both():
-    # favors agreement: zero squared coefficient, heavy scale
+    # favors agreement: zero squared coefficient, heavy weights
     w = CrfWeights.ones(("wood",))
-    w.scales[0, 0] = 5.0
+    w.tables[0, 0] = 5.0
     g = one_material_graph([0.9, 0.4], adj=[(0, 1, 0.0)], weights=w)
     marg = mean_field_infer(g)
     assert marg.converged
@@ -173,8 +173,7 @@ def test_strong_equality_edge_lifts_both():
 
 def test_brute_force_matches_hand_enumeration():
     w = CrfWeights.ones(("wood",))
-    w.scales[0, 0] = 1.3
-    w.tables[0, 0] = np.array([[0.2, 0.9], [0.9, 1.7]])
+    w.tables[0, 0] = 1.3 * np.array([[0.2, 0.9], [0.9, 1.7]])
     g = one_material_graph([0.8, 0.35, 0.6], adj=[(0, 1, 0.4), (1, 2, 0.15)], weights=w)
     q_ref, z_ref = hand_enumeration(g)
     bf = brute_force_marginals(g)
@@ -227,7 +226,7 @@ def test_fixed_point_stability():
 
 def test_nonconvergence_flagged_not_raised():
     w = CrfWeights.ones(("wood",))
-    w.scales[0, 0] = 5.0
+    w.tables[0, 0] = 5.0
     g = one_material_graph([0.9, 0.1], adj=[(0, 1, 0.0)], weights=w)
     marg = mean_field_infer(g, max_iter=1)
     assert marg.converged is False
@@ -250,12 +249,11 @@ def mean_field_update(graph, q):
     """expit(logit(unary) - dE/dq): the fresh beliefs of one mean-field
     sweep from (M, F) beliefs ``q``, summed edge by edge."""
     field = np.log(graph.unary) - np.log(1.0 - graph.unary)
-    for fam, scale, t in zip(FAMILIES, graph.weights.scales, graph.weights.tables):
+    for fam, t in zip(FAMILIES, graph.weights.tables):
         for (a, b), k in zip(graph.edges[fam], graph.coeffs[fam]):
             for x, y in ((a, b), (b, a)):
                 q1, q0 = q[:, y], 1.0 - q[:, y]
-                grad = k * (t[:, 1, 1] * q1 - t[:, 0, 0] * q0) + (1.0 - k) * t[:, 0, 1] * (q0 - q1)
-                field[:, x] -= scale * grad
+                field[:, x] -= k * (t[:, 1, 1] * q1 - t[:, 0, 0] * q0) + (1.0 - k) * t[:, 0, 1] * (q0 - q1)
     return 1.0 / (1.0 + np.exp(-field))
 
 
@@ -266,7 +264,7 @@ def test_full_steps_under_strong_coupling_descend_to_fixed_points(seed, n_mat, n
 
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_faces, MATERIALS[:n_mat])
-    g.weights.scales[:] = rng.uniform(0.0, 5.0, size=g.weights.scales.shape)
+    g.weights.tables *= rng.uniform(0.0, 5.0, size=g.weights.tables.shape[:2])[..., None, None]
     marg = mean_field_infer(g)
     # only graphs on which some full step overshoots, so that halving runs
     assume(marg.halvings > 0)
@@ -293,14 +291,14 @@ def test_material_decomposition_bitwise():
     edges = {"adj": np.array([[0, 1], [1, 2], [2, 3]])}
     coeffs = {"adj": rng.uniform(0.0, 1.0, size=3)}
     w = CrfWeights.ones(mats)
-    w.scales[0] = [0.5, 1.5, 0.7]
+    w.tables[0] *= np.array([0.5, 1.5, 0.7])[:, None, None]
     full = CrfGraph(materials=mats, n_faces=n, unary=unary.copy(),
                     edges={k: v.copy() for k, v in edges.items()},
                     coeffs={k: v.copy() for k, v in coeffs.items()}, weights=w)
     got = mean_field_infer(full)
     for mi, name in enumerate(mats):
         sub_w = CrfWeights.ones((name,))
-        sub_w.scales[0, 0] = w.scales[0, mi]
+        sub_w.tables[0, 0] = w.tables[0, mi]
         sub = CrfGraph(materials=(name,), n_faces=n, unary=unary[mi : mi + 1].copy(),
                        edges={k: v.copy() for k, v in edges.items()},
                        coeffs={k: v.copy() for k, v in coeffs.items()}, weights=sub_w)
@@ -311,7 +309,7 @@ def test_material_decomposition_bitwise():
 def material_subgraph(graph, mi):
     """Material ``mi`` of ``graph`` as a one-material graph."""
     w = graph.weights
-    sub_w = CrfWeights((graph.materials[mi],), w.scales[:, mi], w.tables[:, mi])
+    sub_w = CrfWeights((graph.materials[mi],), w.tables[:, mi])
     return CrfGraph(materials=(graph.materials[mi],), n_faces=graph.n_faces,
                     unary=graph.unary[mi : mi + 1].copy(),
                     edges={k: v.copy() for k, v in graph.edges.items()},
@@ -326,13 +324,14 @@ def test_batched_inference_matches_per_material_runs(seed, n_mat, n_faces):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_faces, MATERIALS[:n_mat])
     assert all(len(g.edges[f]) for f in FAMILIES)
-    # per-material scales spread the sweep counts; tables stay symmetric
-    for scales, tables in zip(g.weights.scales, g.weights.tables):
-        scales[:] = rng.uniform(0.0, 3.0, size=n_mat)
+    # per-material weights spread the sweep counts; tables stay symmetric
+    for tables in g.weights.tables:
+        scale = rng.uniform(0.0, 3.0, size=n_mat)
         off = rng.uniform(0.0, 2.0, size=n_mat)
         tables[:, 0, 0] = rng.uniform(0.0, 2.0, size=n_mat)
         tables[:, 1, 1] = rng.uniform(0.0, 2.0, size=n_mat)
         tables[:, 0, 1] = tables[:, 1, 0] = off
+        tables *= scale[:, None, None]
     subs = [material_subgraph(g, mi) for mi in range(n_mat)]
     natural = [mean_field_infer(sub, max_iter=400).sweeps for sub in subs]
     # the cap below the slowest material's count stops it at max_iter
@@ -369,10 +368,10 @@ def test_cached_operator_follows_weight_updates():
 
     # train_crf first swaps in a shared weight object, then steps it in place
     g.weights = CrfWeights.ones(g.materials)
-    g.weights.scales[1] = [0.2, 2.5, 1.1]
+    g.weights.tables[1] *= np.array([0.2, 2.5, 1.1])[:, None, None]
     swapped = mean_field_infer(g)
     assert not np.array_equal(swapped.q, before.q)
-    g.weights.scales[0] += 0.75
+    g.weights.tables[0] += 0.75
     g.weights.tables[2, :, 0, 1] += 0.5
     g.weights.tables[2, :, 1, 0] += 0.5
     for got in (mean_field_infer(g), mean_field_infer(g)):
@@ -393,7 +392,7 @@ def test_monotone_smoothing_with_scale():
     disagreements = []
     for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
         w = CrfWeights.ones(mats)
-        w.scales[:] = [[scale], [0.0], [0.0]]
+        w.tables[:] = np.array([scale, 0.0, 0.0])[:, None, None, None]
         g = CrfGraph(materials=mats, n_faces=6, unary=unary.copy(),
                      edges={k: v.copy() for k, v in edges.items()},
                      coeffs={k: v.copy() for k, v in coeffs.items()}, weights=w)
@@ -407,7 +406,7 @@ def test_symmetry_edge_forces_agreement():
     mats = ("wood", "metal")
     unary = np.array([[0.60, 0.48], [0.40, 0.52]])
     w = CrfWeights.ones(mats)
-    w.scales[2] = 10.0
+    w.tables[2] = 10.0
     g = CrfGraph(materials=mats, n_faces=2, unary=unary.copy(),
                  edges={"sym": np.array([[0, 1]])}, coeffs={"sym": np.zeros(1)},
                  weights=w)
@@ -452,11 +451,10 @@ def test_gradient_stationary_at_coherent_argmax():
     unary = np.array([[0.99, 0.99, 0.99]])
     truth = (unary > 0.5).astype(float)
     g = one_material_graph(unary[0], adj=[(0, 1, 0.0), (1, 2, 0.0)], truth=truth)
-    gs, gt, _ = crf_gradient(g)
-    assert np.max(np.abs(gs)) < 0.05
-    assert np.max(np.abs(gt)) < 0.05
+    grad, _ = crf_gradient(g)
+    assert np.max(np.abs(grad)) < 0.05
     w, _ = train_crf([g], lr=0.01, iters=5)
-    assert np.max(np.abs(w.scales[0] - 1.0)) < 0.05
+    assert np.max(np.abs(w.tables[0] - 1.0)) < 0.05
 
 
 def test_training_requires_truth():
@@ -479,27 +477,64 @@ def test_training_improves_exact_likelihood():
         w, trace = train_crf([g], lr=0.01, iters=10)
         after = exact_log_likelihood(g, g.truth)
         assert after > before
-        assert np.all(w.scales >= 0.0)
         assert np.all(w.tables >= 0.0)
         assert np.allclose(w.tables[..., 0, 1], w.tables[..., 1, 0])
 
 
 def test_weights_round_trip(tmp_path):
     w = CrfWeights.ones(MATERIALS)
-    w.scales[FAMILIES.index("dist"), 2] = 1.75
+    w.tables[FAMILIES.index("dist"), 2] = 1.75
     w.tables[FAMILIES.index("sym"), 1, 0, 1] = w.tables[FAMILIES.index("sym"), 1, 1, 0] = 0.25
     path = tmp_path / "weights.json"
     w.save(str(path))
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["scales"].keys() == doc["tables"].keys() == set(FAMILIES)
-    assert doc["scales"]["dist"][2] == 1.75
+    assert doc.keys() == {"format", "materials", "tables"}
+    assert doc["format"] == "crf-weights-v2"
+    assert doc["tables"].keys() == set(FAMILIES)
+    assert doc["tables"]["dist"][2] == [[1.75, 1.75], [1.75, 1.75]]
     assert doc["tables"]["sym"][1][0][1] == 0.25
-    reordered = dict(doc, scales=dict(reversed(doc["scales"].items())),
-                     tables=dict(reversed(doc["tables"].items())))
+    reordered = dict(doc, tables=dict(reversed(doc["tables"].items())))
     for back in (CrfWeights.load(str(path)), CrfWeights.from_obj(reordered)):
         assert back.materials == w.materials
-        assert np.array_equal(back.scales, w.scales)
         assert np.array_equal(back.tables, w.tables)
+    # finite entries whose symmetrized mean is not
+    doc["tables"]["adj"][0] = [[1.0, 1.7e308], [1.7e308, 1.0]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InterchangeError, match="float range"):
+        CrfWeights.load(str(path))
+
+
+def test_v1_weights_load_as_products(tmp_path):
+    rng = np.random.default_rng(8)
+    tables = rng.uniform(0.0, 2.0, size=(len(FAMILIES), len(MATERIALS), 2, 2))
+    tables[..., 1, 0] = tables[..., 0, 1]
+    scales = rng.uniform(0.5, 3.0, size=(len(FAMILIES), len(MATERIALS)))
+    scales[0, 1] = -0.5  # a negative scale was projected to zero
+    doc = {"format": "crf-weights-v1", "materials": list(MATERIALS),
+           "scales": dict(zip(FAMILIES, scales.tolist())),
+           "tables": dict(zip(FAMILIES, tables.tolist()))}
+    want = tables * np.maximum(scales, 0.0)[..., None, None]
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for back in (CrfWeights.from_obj(json.loads(json.dumps(doc))), CrfWeights.load(str(path))):
+        assert np.array_equal(back.tables, want)
+        assert not back.tables[0, 1].any()
+    # the stored fault case is a v1 document, and saving rewrites it as v2
+    stored = json.loads((Path(__file__).parents[1] / "bench" / "fault_case.json").read_text(
+        encoding="utf-8"))["weights"]
+    assert stored["format"] == "crf-weights-v1"
+    back = CrfWeights.from_obj(stored)
+    assert back.to_obj()["format"] == "crf-weights-v2"
+    assert np.array_equal(CrfWeights.from_obj(back.to_obj()).tables, back.tables)
+    # a v1 document needs its scales, and the error names the file
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "scales"}), encoding="utf-8")
+    with pytest.raises(InterchangeError, match=f"{path}: expected {{scales: dict}}"):
+        CrfWeights.load(str(path))
+    path.write_text(json.dumps(dict(doc, scales=dict(doc["scales"], adj=[1e300] * 5),
+                                    tables=dict(doc["tables"], adj=[[[1e300] * 2] * 2] * 5))),
+                    encoding="utf-8")
+    with pytest.raises(InterchangeError, match="float range"):
+        CrfWeights.load(str(path))
 
 
 def test_sample_probs_round_trip(tmp_path):

@@ -239,15 +239,41 @@ def test_impossible_combination_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = sampler.draw(10)
-    # negatives need two distinct materials; only positives survive
-    assert all(batch.positive)
-    assert sampler.skipped == 10 - len(batch)
+    # negatives need two distinct materials; only positives survive, and
+    # every negative slot is skipped and counted
+    assert all(batch.positive) and len(batch) == 2
+    assert sampler.skipped == 8
     # a training run warns once with the total, not once per skipped draw
-    labels[2:] = np.eye(5)[1]  # wood and metal: every step finds some pair
     with pytest.warns(UserWarning) as record:
         train_descriptor(feats, labels, epochs=3, steps_per_epoch=2, pairs_per_step=20)
     assert len(record) == 1
-    assert "of 120 pair draws" in str(record[0].message)
+    assert "skipped 96 of 120 pair draws" in str(record[0].message)
+    # wood and metal: only the combinations that have a pair are cycled
+    labels[2:] = np.eye(5)[1]
+    sampler = PairSampler(feats, labels, seed=0)
+    assert sampler.pos_combos == [(0, 0), (1, 1)] and sampler.neg_combos == [(0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_descriptor(feats, labels, epochs=3, steps_per_epoch=2, pairs_per_step=20)
+
+
+def test_sampler_cycles_only_combinations_with_a_pair():
+    feats = np.zeros((5, FEATURE_DIM))
+    labels = np.zeros((5, 5))
+    labels[0, [0, 1]] = 1.0  # wood and plastic together only
+    labels[1, [0, 1]] = 1.0
+    labels[2, [1, 2]] = 1.0  # plastic with metal
+    labels[3, 3] = 1.0  # one glass sample: no positive
+    labels[4, [2, 4]] = 1.0
+    sampler = PairSampler(feats, labels, seed=0)
+    assert sampler.pos_combos == [(0, 0), (1, 1), (2, 2)]
+    # every label set with wood holds plastic, and every one with fabric
+    # holds metal; the other combinations have a pair of disjoint sets
+    assert sampler.neg_combos == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    batch = sampler.draw(200)
+    assert sampler.skipped == 0 and len(batch) == 200
+    for j in np.flatnonzero(~batch.positive):
+        assert not np.any((batch.ya[j] > 0) & (batch.yb[j] > 0))
 
 
 def test_loss_parts_compose():

@@ -55,7 +55,7 @@ _SYMMETRIES = [
 ]
 _NET = DescriptorNet(layer_sizes=(64, 2, 2, 2), n_classes=5, seed=4)
 _WEIGHTS = CrfWeights.ones()
-_WEIGHTS.scales[1, 2] = 1.75  # dist
+_WEIGHTS.tables[1, 2] = 1.75  # dist
 _WEIGHTS.tables[2, 1, 0, 1] = _WEIGHTS.tables[2, 1, 1, 0] = 0.25  # sym
 
 

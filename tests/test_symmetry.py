@@ -31,10 +31,14 @@ from matseg.symmetry import (
     save_symmetries,
     save_symmetry_pairs,
     symmetry_pairs,
-    unique_transforms,
 )
 from matseg.synth import SynthSpec, benchmark_suite, generate
 
+
+
+def transforms_by_id(symmetries):
+    """Each transform id's transform."""
+    return {s.transform_id: s.transform for s in symmetries}
 
 
 def component_cloud(mesh, comp, n, rng):
@@ -76,16 +80,6 @@ def test_rigid_transform_validation():
         RigidTransform(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(ValueError):
         RigidTransform(np.ones((3, 3)), np.zeros(3))
-
-
-def test_compose_and_inverse():
-    a = RigidTransform(y_rotation(0.7), np.array([1.0, 2.0, 3.0]))
-    b = RigidTransform(y_rotation(-0.2), np.array([0.5, 0.0, -1.0]))
-    pts = np.random.default_rng(0).normal(size=(20, 3))
-    assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)))
-    round_trip = a.compose(a.inverse())
-    assert np.allclose(round_trip.rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(round_trip.translation, 0.0, atol=1e-12)
 
 
 def test_angle_axis_known_rotation():
@@ -148,7 +142,7 @@ def test_icp_recovers_known_rotation():
     r, t, rmsd = _icp_stack(src, dst, cKDTree(dst), init.rotation[None],
                             init.translation[None], 50, 1e-10, abandon=np.inf)
     assert rmsd[0] < 1e-9
-    angle, axis = RigidTransform(r[0], t[0]).compose(true.inverse()).angle_axis()
+    angle, axis = RigidTransform(r[0] @ true.rotation.T, np.zeros(3)).angle_axis()
     assert angle < 1e-3
 
 
@@ -302,7 +296,7 @@ def test_four_boxes_have_quarter_turn():
     mesh = four_box_mesh()
     syms = detect_symmetries(mesh, seed=0)
     assert syms, "no symmetries detected"
-    reps = unique_transforms(syms)
+    reps = transforms_by_id(syms)
     angles = []
     quarter = []
     for tid, rep in reps.items():
@@ -348,9 +342,11 @@ def test_exact_transform_gives_tiny_residuals():
 
 def test_quarter_turn_four_times_is_identity():
     quarter = RigidTransform(y_rotation(math.pi / 2), np.zeros(3))
-    four = quarter.compose(quarter).compose(quarter).compose(quarter)
-    assert np.allclose(four.rotation, np.eye(3), atol=1e-6)
-    assert np.allclose(four.translation, 0.0, atol=1e-6)
+    pts = np.random.default_rng(0).normal(size=(20, 3))
+    moved = pts
+    for _ in range(4):
+        moved = quarter.apply(moved)
+    assert np.allclose(moved, pts, atol=1e-6)
 
 
 def test_pair_residual_recomputes():
@@ -397,14 +393,15 @@ def test_symmetry_pairs_match_face_by_face_reference():
     quarter = RigidTransform(y_rotation(math.pi / 2), np.zeros(3))
     mirror = RigidTransform(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
     syms = [DetectedSymmetry(quarter, c, (c + 1) % 4, 0.0, 0) for c in range(4)]
-    syms += [DetectedSymmetry(quarter.inverse(), c, (c + 3) % 4, 0.0, 1) for c in range(4)]
+    syms += [DetectedSymmetry(RigidTransform(quarter.rotation.T, np.zeros(3)), c, (c + 3) % 4, 0.0, 1)
+             for c in range(4)]
     syms += [DetectedSymmetry(quarter, 2, 3, 0.0, 2)]
     syms += [DetectedSymmetry(mirror, c, j, 0.0, 3) for c, j in ((0, 2), (1, 1), (2, 0), (3, 3))]
     for tid in range(4, 10):
-        nudge = RigidTransform(Rotation.from_rotvec(rng.normal(scale=0.05, size=3)).as_matrix(),
-                               rng.normal(scale=0.03, size=3))
+        nudge = Rotation.from_rotvec(rng.normal(scale=0.05, size=3)).as_matrix()
+        shift = rng.normal(scale=0.03, size=3)
         c = int(rng.integers(4))
-        syms.append(DetectedSymmetry(nudge.compose(quarter), c, (c + 1) % 4, 0.0, tid))
+        syms.append(DetectedSymmetry(RigidTransform(nudge @ quarter.rotation, shift), c, (c + 1) % 4, 0.0, tid))
     want = loop_symmetry_pairs(mesh, syms)
     got = [(p.face_a, p.face_b, p.s, p.transform_id) for p in symmetry_pairs(mesh, syms)]
     assert got == want
@@ -462,7 +459,7 @@ def suite_detections():
 def test_refit_matches_built_in_symmetries_on_every_vertex(suite_detections):
     for spec, mesh, syms in suite_detections.values():
         v = mesh.vertices
-        reps = unique_transforms(syms).values()
+        reps = transforms_by_id(syms).values()
         for rot in BUILT_IN[spec.category]:
             gap = min(
                 np.linalg.norm(t.apply(v) - v @ rot.T, axis=1).max() for t in reps
@@ -473,7 +470,7 @@ def test_refit_matches_built_in_symmetries_on_every_vertex(suite_detections):
 def test_built_in_symmetries_pair_every_component(suite_detections):
     for spec, mesh, syms in suite_detections.values():
         v = mesh.vertices
-        reps = unique_transforms(syms)
+        reps = transforms_by_id(syms)
         for rot in BUILT_IN[spec.category]:
             tid = min(reps, key=lambda k: np.linalg.norm(reps[k].apply(v) - v @ rot.T, axis=1).max())
             assert_pairs_follow(mesh, syms, tid, rot)
@@ -500,7 +497,7 @@ def test_round_top_tables_keep_every_leg_symmetry(round_top_tables, legs):
     that is also the top's own, since elsewhere its probe slides to the
     nearest turn of the 16-gon."""
     mesh, syms = round_top_tables[legs]
-    reps = unique_transforms(syms)
+    reps = transforms_by_id(syms)
     radius = mesh.bounding_radius
     top = mesh.component_names.index("top")
     legs_c = [c for c in range(mesh.n_components) if c != top]
@@ -531,7 +528,7 @@ def test_jittered_cabinets_keep_the_x_mirror(index, seed):
     spec = dataclasses.replace(benchmark_suite()[index], jitter=0.002, seed=seed)
     mesh = generate(spec)
     syms = detect_symmetries(mesh, seed=seed)
-    reps = unique_transforms(syms)
+    reps = transforms_by_id(syms)
     v = mesh.vertices
     mirror = np.diag([-1.0, 1.0, 1.0])
     gaps = {k: np.linalg.norm(t.apply(v) - v @ mirror.T, axis=1).max() / mesh.bounding_radius
@@ -547,7 +544,7 @@ def test_jittered_cabinet_finds_no_non_symmetry():
     some vertex, and one of them is the x-mirror."""
     spec = dataclasses.replace(benchmark_suite()[25], jitter=0.005, seed=3025)
     mesh = generate(spec)
-    reps = unique_transforms(detect_symmetries(mesh, seed=3025)).values()
+    reps = transforms_by_id(detect_symmetries(mesh, seed=3025)).values()
     v = mesh.vertices
     tol = (2.0 * math.sqrt(3.0) * 0.005 + 0.02) * mesh.bounding_radius
     tree = cKDTree(v)
@@ -677,10 +674,10 @@ def stacked_refit_case(rotation):
     cents = component_centroids(mesh)
     pairs = [(c, int(np.argmin(np.linalg.norm(cents - true.apply(cents[c]), axis=1)))) for c in range(3)]
     axis = np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25)
-    nudge = RigidTransform(Rotation.from_rotvec(math.radians(3.0) * axis).as_matrix(),
-                           0.02 * radius * np.array([0.6, -0.8, 0.0]))
+    nudge = Rotation.from_rotvec(math.radians(3.0) * axis).as_matrix()
+    start = RigidTransform(nudge @ rotation, 0.02 * radius * np.array([0.6, -0.8, 0.0]))
     moving = [(targets[c][::4], j) for c, j in pairs]
-    return mesh, true, moving, targets, normals, [cKDTree(t) for t in targets], nudge.compose(true)
+    return mesh, true, moving, targets, normals, [cKDTree(t) for t in targets], start
 
 
 @pytest.mark.parametrize("rotation", [QUARTER, np.diag([-1.0, 1.0, 1.0])])
