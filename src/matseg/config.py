@@ -139,6 +139,12 @@ _VALID = {
     "descriptor.pairs_per_step": (lambda n: n >= 1, "at least 1"),
     "descriptor.layer_sizes": (lambda s: len(s) == 4 and s[0] == FEATURE_DIM and min(s) > 0,
                                f"four positive sizes, the first {FEATURE_DIM}"),
+    # at 0 or less: training climbs its loss, no negative's hinge is active, nothing converges
+    "descriptor.lr": (lambda r: r > 0.0, "more than 0"),
+    "crf.lr": (lambda r: r > 0.0, "more than 0"),
+    "descriptor.margin": (lambda g: g > 0.0, "more than 0"),
+    "crf.infer_tol": (lambda t: t > 0.0, "more than 0"),
+    "crf.label_threshold": (lambda t: 0.0 <= t <= 1.0, "in [0, 1]"),
 }
 
 

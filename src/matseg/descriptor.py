@@ -290,80 +290,66 @@ class PairBatch:
 class PairSampler:
     """Draws pairs at a 1:4 positive:negative ratio with combination cycling.
 
-    Positives cycle the same-material combinations (k, k) that two samples
-    hold; negatives cycle the unordered distinct-material combinations
-    (a, b) for which some label set holding a and some label set holding b
-    share no label. A drawn negative whose two samples share any
-    ground-truth label is rejected and redrawn; after 1000 rejections the
-    combination is skipped and counted in ``skipped``, as is every slot of
-    a kind that has no combination to cycle.
+    Every fifth slot is a positive and cycles the same-material combinations
+    (k, k); the rest are negatives and cycle the distinct-material
+    combinations (a, b), a < b; cycling carries on across calls. With the
+    samples grouped by label set, a combination's valid ordered pairs from
+    sets u and v number n_u * n_v (less n_u when u = v) if both hold k, and
+    n_u * n_v if u holds a, v holds b and the two share no label; only
+    combinations with a valid pair are cycled. One generator call per batch
+    draws each pair's index among its combination's valid pairs, uniformly;
+    the cumulative cell counts turn it into (u, v) and one member of each,
+    the second skipping the first when u = v. Slots of a kind that has no
+    combination to cycle are counted in ``skipped``.
     """
-
-    MAX_REJECTS = 1000
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         m = self.labels.shape[1]
         self.rng = np.random.default_rng(seed)
-        held = self.labels > 0
-        self.by_material = [np.flatnonzero(held[:, k]) for k in range(m)]
-        # apart[a, b]: some label set holding a and some holding b are disjoint
-        sets = np.unique(held, axis=0).astype(np.int64)
-        apart = sets.T @ (sets @ sets.T == 0) @ sets > 0
-        self.pos_combos = [(k, k) for k in range(m) if len(self.by_material[k]) >= 2]
-        self.neg_combos = [(a, b) for a in range(m) for b in range(a + 1, m) if apart[a, b]]
-        self._pos_at = 0
-        self._neg_at = 0
+        sets, of = np.unique(self.labels > 0, axis=0, return_inverse=True)
+        self._size = np.bincount(of, minlength=len(sets))
+        self._start = np.cumsum(self._size) - self._size
+        self._members = np.argsort(of, kind="stable")  # the samples of each set, set by set
+        self._combos = [(k, k) for k in range(m)] + [(a, b) for a in range(m) for b in range(a + 1, m)]
+        a, b = np.array(self._combos, dtype=np.int64).reshape(-1, 2).T
+        # cells[c, u, v]: valid ordered pairs of combination c from sets u and v,
+        # out of the ordered pairs of distinct samples
+        held = sets[:, a].T[:, :, None] & sets[:, b].T[:, None, :]
+        pairs = np.outer(self._size, self._size) - np.diag(self._size)
+        cells = (held & ((a == b)[:, None, None] | ~(sets @ sets.T))) * pairs
+        self._shape = cells.shape
+        self._total = cells.sum(axis=(1, 2))
+        self._first = np.cumsum(self._total) - self._total  # pairs of all earlier combinations
+        self._before = np.cumsum(cells.ravel()) - cells.ravel()  # pairs in all earlier cells
+        self._cycles = (np.flatnonzero(self._total[:m]), m + np.flatnonzero(self._total[m:]))
+        self.pos_combos = [self._combos[c] for c in self._cycles[0]]
+        self.neg_combos = [self._combos[c] for c in self._cycles[1]]
+        self._at = [0, 0]
         self.skipped = 0
 
-    def _draw_positive(self, m: int):
-        a, b = self.rng.choice(self.by_material[m], size=2, replace=False)
-        return int(a), int(b)
-
-    def _draw_negative(self, m1: int, m2: int):
-        pool_a = self.by_material[m1]
-        pool_b = self.by_material[m2]
-        for _ in range(self.MAX_REJECTS):
-            a = int(self.rng.choice(pool_a))
-            b = int(self.rng.choice(pool_b))
-            if a != b and not np.any((self.labels[a] > 0) & (self.labels[b] > 0)):
-                return a, b
-        return None
-
     def draw(self, n_pairs: int) -> PairBatch:
-        idx_a, idx_b, positive, combos = [], [], [], []
-        produced = 0
-        while produced < n_pairs:
-            want_positive = produced % 5 == 0
-            if not (self.pos_combos if want_positive else self.neg_combos):
-                pair = None
-            elif want_positive:
-                combo = self.pos_combos[self._pos_at % len(self.pos_combos)]
-                self._pos_at += 1
-                pair = self._draw_positive(combo[0])
+        positive = np.arange(n_pairs) % 5 == 0
+        combo = np.full(n_pairs, -1, dtype=np.int64)
+        for kind, slots in enumerate((positive, ~positive)):
+            cycle, n = self._cycles[kind], int(slots.sum())
+            if len(cycle):
+                combo[slots] = cycle[(self._at[kind] + np.arange(n)) % len(cycle)]
+                self._at[kind] += n
             else:
-                combo = self.neg_combos[self._neg_at % len(self.neg_combos)]
-                self._neg_at += 1
-                pair = self._draw_negative(*combo)
-            produced += 1
-            if pair is None:
-                self.skipped += 1
-                continue
-            idx_a.append(pair[0])
-            idx_b.append(pair[1])
-            positive.append(want_positive)
-            combos.append(combo)
-        ia = np.array(idx_a, dtype=np.int64)
-        ib = np.array(idx_b, dtype=np.int64)
-        return PairBatch(
-            xa=self.features[ia],
-            xb=self.features[ib],
-            ya=self.labels[ia],
-            yb=self.labels[ib],
-            positive=np.array(positive, dtype=bool),
-            combos=combos,
-        )
+                self.skipped += n
+        positive, combo = positive[combo >= 0], combo[combo >= 0]
+        # t: the pair's index among all valid pairs, combination after combination
+        t = self._first[combo] + self.rng.integers(0, self._total[combo])
+        cell = np.searchsorted(self._before, t, side="right") - 1
+        _, u, v = np.unravel_index(cell, self._shape)
+        same = u == v
+        i, j = np.divmod(t - self._before[cell], self._size[v] - same)
+        ia = self._members[self._start[u] + i]
+        ib = self._members[self._start[v] + j + (same & (j >= i))]
+        return PairBatch(xa=self.features[ia], xb=self.features[ib], ya=self.labels[ia], yb=self.labels[ib],
+                         positive=positive, combos=[self._combos[c] for c in combo.tolist()])
 
 
 def sample_pairs(features: np.ndarray, labels: np.ndarray, n_pairs: int, seed: int) -> PairBatch:
@@ -454,7 +440,8 @@ def train_descriptor(
     contrastive) or classification (1.0 / 0.0). In the multitask mix the
     classification head's gradients are rescaled by 1/lambda_class,
     mirroring a per-layer learning-rate multiplier. Returns the net and a
-    per-epoch trace of loss parts.
+    per-epoch trace of loss parts. Warns once with the number of pair slots
+    skipped because their kind, positive or negative, has no combination.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)

@@ -169,10 +169,15 @@ def sampled_shapes(tmp_path_factory):
     ("sample", ["-k", "0"], "sampling.keep"),
     ("sample", ["--set", "sampling.keep=0"], "sampling.keep"),
     ("train-desc", ["--set", "descriptor.pairs_per_step=0"], "descriptor.pairs_per_step"),
+    ("train-desc", ["--set", "descriptor.lr=-1"], "descriptor.lr"),
+    ("train-desc", ["--set", "descriptor.margin=-1"], "descriptor.margin"),
+    ("train-crf", ["--set", "crf.lr=-1"], "crf.lr"),
+    ("infer", ["--set", "crf.infer_tol=-1"], "crf.infer_tol"),
+    ("infer", ["--set", "crf.label_threshold=2"], "crf.label_threshold"),
 ])
 def test_cli_rejects_values_a_stage_cannot_run_with(sampled_shapes, caplog, command, argv, key):
     shape = sampled_shapes / ("chair" if command == "symmetry" else "t")
-    where = ["--data", str(sampled_shapes)] if command == "train-desc" else ["--shape", str(shape)]
+    where = ["--data", str(sampled_shapes)] if command.startswith("train-") else ["--shape", str(shape)]
     caplog.clear()
     assert cli.main([command, *where, *argv, "--out", str(sampled_shapes / "result")]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import dense_shapes
@@ -274,6 +276,89 @@ def test_sampler_cycles_only_combinations_with_a_pair():
     assert sampler.skipped == 0 and len(batch) == 200
     for j in np.flatnonzero(~batch.positive):
         assert not np.any((batch.ya[j] > 0) & (batch.yb[j] > 0))
+
+
+def brute_force_pairs(held):
+    """Every valid ordered pair (i, j) of each combination, from all sample pairs."""
+    n, m = held.shape
+    valid = {}
+    for i in range(n):
+        for j in range(n):
+            for a in range(m):
+                for b in range(a, m):
+                    ok = held[i, a] and held[j, b] and i != j
+                    if ok and (a == b or not np.any(held[i] & held[j])):
+                        valid.setdefault((a, b), set()).add((i, j))
+    return valid
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=2, max_size=12),
+       n_pairs=st.integers(0, 40))
+def test_sampler_matches_brute_force_enumeration(rows, n_pairs):
+    held = np.array(rows, dtype=bool)  # multi-label and empty rows both occur
+    feats = np.zeros((len(held), FEATURE_DIM))
+    feats[:, 0] = np.arange(len(held))  # the first feature names the sample
+    sampler = PairSampler(feats, held.astype(float), seed=len(rows))
+    valid = brute_force_pairs(held)
+    assert sampler.pos_combos == sorted(c for c in valid if c[0] == c[1])
+    assert sampler.neg_combos == sorted(c for c in valid if c[0] != c[1])
+    batch = sampler.draw(n_pairs)
+    # every fifth slot is positive; the slots of a kind with no combination are skipped
+    slot_positive = np.arange(n_pairs) % 5 == 0
+    kept = np.where(slot_positive, bool(sampler.pos_combos), bool(sampler.neg_combos))
+    assert np.array_equal(batch.positive, slot_positive[kept])
+    assert sampler.skipped == n_pairs - kept.sum()
+    ia, ib = batch.xa[:, 0].astype(int), batch.xb[:, 0].astype(int)
+    for i, j, combo, positive in zip(ia, ib, batch.combos, batch.positive):
+        assert (combo[0] == combo[1]) == positive
+        assert (i, j) in valid[combo]
+
+
+def test_direct_draw_is_uniform_over_the_valid_pairs():
+    # three label sets: wood (0-2), plastic (3-6), wood with plastic (7-8);
+    # the only negative combination, (wood, plastic), has 3 x 4 valid pairs
+    held = np.zeros((9, 5), dtype=bool)
+    held[[0, 1, 2, 7, 8], 0] = True
+    held[3:, 1] = True
+    feats = np.zeros((9, FEATURE_DIM))
+    feats[:, 0] = np.arange(9)
+    sampler = PairSampler(feats, held.astype(float), seed=5)
+    assert sampler.neg_combos == [(0, 1)]
+    batch = sampler.draw(15_000)
+    ia, ib = batch.xa[:, 0].astype(int), batch.xb[:, 0].astype(int)
+    neg = ~batch.positive
+    counts = np.zeros((9, 9), dtype=int)
+    np.add.at(counts, (ia[neg], ib[neg]), 1)
+    assert counts.sum() == 12_000
+    want = np.zeros((9, 9), dtype=bool)
+    want[:3, 3:7] = True
+    assert not counts[~want].any()
+    # 1,000 draws expected per pair; the standard deviation is about 29
+    assert np.all(np.abs(counts[want] - 1000) < 120)
+
+
+class _CountingGenerator:
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_draw_calls_the_generator_once_per_combination_at_most():
+    feats, labels = random_training_set(np.random.default_rng(34), n_points=100)
+    sampler = PairSampler(feats, labels, seed=34)
+    sampler.rng = _CountingGenerator(sampler.rng)
+    assert len(sampler.draw(64)) == 64
+    assert 0 < sampler.rng.calls <= len(sampler.pos_combos) + len(sampler.neg_combos)
 
 
 def test_loss_parts_compose():
