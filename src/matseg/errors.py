@@ -14,7 +14,7 @@ class UnknownComponentError(MatsegError):
 
 
 class NonFiniteGeometryError(MatsegError):
-    """A vertex coordinate is NaN or infinite."""
+    """A vertex coordinate is NaN, infinite or too large to compute with."""
 
 
 class MissingUnariesError(MatsegError):

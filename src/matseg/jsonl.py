@@ -103,6 +103,12 @@ def write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
+def record_line(path: str, k: int) -> int:
+    """The line holding record k (from 0) of a JSON-lines file, as read_jsonl counts them."""
+    with open(path, "rb") as fh:
+        return [line for line, raw in enumerate(fh, 1) if not raw.isspace()][k]
+
+
 def _parse(path: str, text: bytes, fields: dict, line: int | None = None) -> dict:
     """The checked record in ``text``, else InterchangeError naming the file."""
     try:

@@ -16,8 +16,8 @@ from scipy.spatial import cKDTree
 
 from .bvh import TriangleBvh
 from .config import SamplingConfig
-from .errors import EmptyMeshError, InvalidKError
-from .jsonl import finite_array, read_jsonl, write_jsonl
+from .errors import EmptyMeshError, InterchangeError, InvalidKError
+from .jsonl import finite_array, read_jsonl, record_line, write_jsonl
 from .materials import multihot
 from .mesh import LabeledMesh
 
@@ -229,10 +229,11 @@ def save_samples(path: str, samples: Samples) -> None:
 def load_samples(path: str, mesh: LabeledMesh) -> Samples:
     """Read samples written by save_samples.
 
-    Every sample's face must be one of the mesh's faces. The labels column
-    is the mesh's, as sample_surface_points sets it; other keys of a line,
-    such as the labels and visible flag that older files carry, are
-    ignored.
+    Every sample's face must be one of the mesh's faces, its barycentric
+    coordinates convex, and its position their combination of the face's
+    corners within 1e-9 times the bounding radius. The labels column is the
+    mesh's, as sample_surface_points sets it; other keys of a line, such as
+    the labels and visible flag that older files carry, are ignored.
     """
     def face(f: int) -> int:
         if not 0 <= f < mesh.n_faces:
@@ -242,7 +243,16 @@ def load_samples(path: str, mesh: LabeledMesh) -> Samples:
     point = (list, lambda values: finite_array(values, (3,)))
     fields = {"position": point, "face": (int, face), "barycentric": point}
     recs = list(read_jsonl(path, fields))
-    positions, faces, barycentric = ([rec[key] for rec in recs] for key in fields)
-    faces = np.array(faces, dtype=np.int64)
-    return Samples(np.array(positions).reshape(-1, 3), faces, np.array(barycentric).reshape(-1, 3),
-                   _labels_of(mesh, faces))
+    positions, barycentric = (np.array([rec[key] for rec in recs]).reshape(-1, 3)
+                              for key in ("position", "barycentric"))
+    faces = np.array([rec["face"] for rec in recs], dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as a miss
+        convex = (barycentric.min(axis=1) >= -1e-12) & (np.abs(barycentric.sum(axis=1) - 1.0) <= 1e-9)
+        on_face = np.einsum("ij,ijk->ik", barycentric, mesh.vertices[mesh.faces[faces]])
+        ok = convex & (np.linalg.norm(positions - on_face, axis=1) <= 1e-9 * mesh.bounding_radius)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        wrong = (f"position {positions[i].tolist()} is off face {faces[i]}" if convex[i]
+                 else f"barycentric {barycentric[i].tolist()} is not convex")
+        raise InterchangeError(path, wrong, record_line(path, i))
+    return Samples(positions, faces, barycentric, _labels_of(mesh, faces))

@@ -10,17 +10,18 @@ composed with the x or the y mirror (the z mirror is the x mirror turned
 half way, a start the ring already has); ICP runs them all on one shared
 source cloud. A component that stays on itself under a turn finer than the
 ring (a round top) would propose its own turns, so another serves as anchor
-where one can. The fits are clustered, each cluster's transform sharpened
-point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001), and verified on the whole
-shape: a transform survives when it takes every component onto a congruent
-one. All those (component, target) pairs share its motion, so one joint
-point-to-plane refit over their stacked correspondences polishes it, and
-the refit's own last correspondences gate each pair. A pair that maps a
-component onto itself is also probed by a refit of that pair alone, which
-catches a component that only the other pairs hold in place. The survivors
-are clustered again, so each distinct symmetry appears once. Its face pairs
-feed the CRF's symmetry factors. Detected symmetries are saved as one JSON
-document, face pairs as JSON lines.
+where one can. The fits are clustered, and each cluster's transform is
+sharpened point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001) and verified
+once: each component is paired with the congruent one whose centroid and
+extent matrix lie nearest its moved ones, one joint point-to-plane refit
+over the stacked correspondences of all those pairs polishes the transform,
+and it survives only if every pair is under the gate at the refit's last
+correspondences. A pair that maps a component onto itself is also probed by
+a refit of that pair alone, which catches a component that only the other
+pairs hold in place. The survivors are clustered again, so each distinct
+symmetry appears once. Its face pairs feed the CRF's symmetry factors.
+Detected symmetries are saved as one JSON document, face pairs as JSON
+lines.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ _TARGET_DENSITY = 32
 # the joint refit and the self-pair probe move every _REFIT_STRIDE-th point
 # of a component's dense cloud; the gate's rmsd reads that strided cloud
 _REFIT_STRIDE = 4
+# how far, in gates, a component's moved centroid and extent matrix may lie
+# from its target's: symmetries land within 1.5, most others past 2.8
+_PAIRING_GATES = 2.0
 _TRIVIAL_ANGLE = math.radians(2.0)
 _CLUSTER_ANGLE = math.radians(5.0)
 _CLUSTER_AXIS = math.radians(5.0)
@@ -243,15 +247,17 @@ def _refit(pairs, targets, normals, trees, init, max_iter, center, radius):
     return RigidTransform(r, t), list(dist)
 
 
-def _signature(cloud: np.ndarray) -> np.ndarray:
-    """Sorted square roots of the PCA eigenvalues: the cloud's extent along
-    its principal axes, unchanged by any rotation or reflection."""
-    cov = np.cov(cloud, rowvar=False)
-    return np.sqrt(np.clip(np.linalg.eigvalsh(cov), 0.0, None))
+def _moments(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A cloud's centroid c, extent matrix E = V sqrt(L) V^T (the symmetric
+    square root of its covariance V L V^T) and extents sqrt(L) along its
+    principal axes. A motion (R, t) maps (c, E) to (R c + t, R E R^T)."""
+    lam, v = np.linalg.eigh(np.cov(cloud, rowvar=False))
+    extents = np.sqrt(np.clip(lam, 0.0, None))
+    return cloud.mean(axis=0), (v * extents) @ v.T, extents
 
 
 def _congruent(a: np.ndarray, b: np.ndarray, accept: float) -> bool:
-    """Signatures close enough, axis by axis, that the clouds may fit under
+    """Extents close enough, axis by axis, that the clouds may fit under
     the rmsd gate; a gross mismatch cannot, so it skips the fits."""
     return bool(np.all(np.abs(a - b) <= np.maximum(0.25 * np.maximum(a, b), 2.0 * accept)))
 
@@ -296,18 +302,19 @@ def detect_symmetries(
     angle/axis/translation proximity into distinct transforms.
 
     Each cluster's averaged transform is sharpened by a point-to-plane
-    refit of one member pair's sparse source cloud, then checked on the
+    refit of one member pair's sparse source cloud, then verified on the
     whole shape: it survives only if it maps every component onto a
     congruent component under the gate, so congruences private to one pair
     (a cylindrical leg spun onto itself) do not count as shape symmetries.
-    The check names each component's target. One point-to-plane refit of
-    the transform runs over the stacked correspondences of all its
-    (component, target) pairs, each moving every fourth point of the
-    component's dense cloud; each pair is then gated on the rmsd of that
-    strided cloud, from the refit's last query. A pair that maps a component
-    onto itself is also refitted alone from the joint fit, and dropped if
-    that probe moves the component's sparse cloud by the gate (rms). The
-    surviving pairs are clustered again.
+    Each component's target is the partner whose centroid and extent matrix
+    lie nearest its own moved ones, within two gates. One point-to-plane
+    refit of the transform runs over the stacked correspondences of all
+    those (component, target) pairs, each moving every fourth point of the
+    component's dense cloud; every pair's rmsd on that strided cloud, from
+    the refit's last query, must be under the gate. A pair that maps a
+    component onto itself is also refitted alone from the joint fit, and
+    dropped if that probe moves the component's sparse cloud by the gate
+    (rms). The surviving pairs are clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -328,7 +335,7 @@ def detect_symmetries(
     refit_iter = min(max_iter, _REFIT_MAX_ITER)
 
     trees = [cKDTree(t) if len(t) >= 3 else None for t in targets]
-    signatures = [None if tree is None else _signature(t) for t, tree in zip(targets, trees)]
+    moments = [None if tree is None else _moments(t) for t, tree in zip(targets, trees)]
     valid = [c for c in range(n_comp) if len(sources[c]) >= 3 and trees[c] is not None]
     if not valid:
         return []
@@ -336,7 +343,7 @@ def detect_symmetries(
     # mismatch of principal extents cannot, so it is never fitted or checked
     partners = [
         [j for j in range(n_comp) if trees[j] is not None
-         and _congruent(signatures[c], signatures[j], accept)] if c in valid else []
+         and _congruent(moments[c][2], moments[j][2], accept)] if c in valid else []
         for c in range(n_comp)
     ]
     # a component that a turn of half the ring's step keeps on itself (a
@@ -390,30 +397,29 @@ def detect_symmetries(
     reps = [fit for fit in fits if not _trivial(fit.rotation[None])[0]]
 
     # a pair of congruent components (two identical legs, a cylinder onto
-    # itself at any offset) fits under the gate without being a symmetry
-    # of the shape; keep only transforms that map every component onto
-    # matching geometry. Their (component, target) pairs share one motion:
-    # one refit over all of them polishes it, and the distances of its last
-    # query gate each pair on its strided cloud: they lie within
-    # _REFIT_STEP * radius of those under the returned fit. Re-clustering
-    # merges duplicates, and fits that slid toward the identity meet the
-    # trivial gate again. The other pairs can hold a component where alone
-    # it would slide (a 16-gon top under the shape's 120-degree turn), so a
-    # pair onto itself is dropped when its own refit from the joint fit
-    # moves its sparse cloud by the gate (rms), to a congruence of that
-    # component alone (the top's own 112.5 degrees).
+    # itself at any offset) fits under the gate without being a symmetry of the
+    # shape; keep only transforms that map every component onto matching
+    # geometry. The moment pairing's (component, target) pairs share one
+    # motion: one refit over all of them polishes it, and the distances of its
+    # last query, within _REFIT_STEP * radius of those under the returned fit,
+    # gate every pair on its strided cloud; one pair over the gate rejects the
+    # transform. Re-clustering merges duplicates, and fits that slid toward the
+    # identity meet the trivial gate again. The other pairs can hold a
+    # component where alone it would slide (a 16-gon top under the shape's
+    # 120-degree turn), so a pair onto itself is dropped when its own refit
+    # from the joint fit moves its sparse cloud by the gate (rms), to a
+    # congruence of that component alone (the top's own 112.5 degrees).
     refit = []  # rows as the candidates': rotation, translation, source, target, rmsd
-    for rep, pairs in zip(reps, _arrangement(reps, sources, trees, partners, accept)):
-        if not pairs:
+    for rep in reps:
+        pairs = _pairing(rep, moments, valid, partners, _PAIRING_GATES * accept)
+        if pairs is None:
             continue
         moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
         fit, dists = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
-        if _trivial(fit.rotation[None])[0]:
+        rmsds = [float(np.sqrt(np.mean(dist * dist))) for dist in dists]
+        if _trivial(fit.rotation[None])[0] or max(rmsds) >= accept:
             continue
-        for (c, j), pair, dist in zip(pairs, moving, dists):
-            rmsd = float(np.sqrt(np.mean(dist * dist)))
-            if rmsd >= accept:
-                continue
+        for (c, j), pair, rmsd in zip(pairs, moving, rmsds):
             if c == j:
                 probe = _refit([pair], targets, normals, trees, fit, refit_iter, center, radius)[0]
                 slide = probe.apply(sources[c]) - fit.apply(sources[c])
@@ -423,49 +429,21 @@ def detect_symmetries(
     return _cluster(*(np.array(column) for column in zip(*refit)), radius) if refit else []
 
 
-def _arrangement(
-    reps: list[RigidTransform],
-    sources: list[np.ndarray],
-    trees: list[cKDTree | None],
-    partners: list[list[int]],
-    accept: float,
-) -> list[list[tuple[int, int]] | None]:
-    """Per transform, the (component, target) pair of every component it
-    takes onto a partner with rmsd under ``accept``, or None when some
-    component with a cloud finds no such partner.
-
-    All transforms are checked at once, per (component, target): one KD
-    query moves the component's cloud by every transform still pending.
-    A component's target is the first partner that passes. The query is
-    bounded at sqrt(n) * accept for n points: one point farther away than
-    that already puts the rmsd over the gate, so an unbounded (inf)
-    distance fails the transform exactly as the full distance would.
-    """
-    if not reps:
-        return []
-    rot = np.stack([t.rotation for t in reps])
-    trans = np.stack([t.translation for t in reps])
-    alive = np.ones(len(reps), dtype=bool)
-    match = np.full((len(reps), len(sources)), -1)
-    for c, cloud in enumerate(sources):
-        if len(cloud) < 3:
-            continue
-        pending = np.flatnonzero(alive)
-        moved = np.einsum("nk,sjk->snj", cloud, rot[pending]) + trans[pending, None, :]
-        bound = math.sqrt(len(cloud)) * accept
-        for j in partners[c]:
-            if len(pending) == 0:
-                break
-            dist = trees[j].query(moved.reshape(-1, 3), distance_upper_bound=bound)[0]
-            dist = dist.reshape(len(pending), len(cloud))
-            hit = np.sqrt(np.mean(dist * dist, axis=1)) < accept
-            match[pending[hit], c] = j
-            pending, moved = pending[~hit], moved[~hit]
-        alive[pending] = False
-    return [
-        [(c, int(j)) for c, j in enumerate(row) if j >= 0] if ok else None
-        for row, ok in zip(match, alive)
-    ]
+def _pairing(rep, moments, valid, partners, tol):
+    """The (component, target) pair of each component i in ``valid`` under
+    ``rep`` = (R, t): the partner j nearest by the moments (see _moments),
+    hypot(|R c_i + t - c_j|, ||R E_i R^T - E_j||_F). None when some
+    component's target lies ``tol`` or more away."""
+    r = rep.rotation
+    pairs = []
+    for c in valid:
+        centroid, extent = rep.apply(moments[c][0]), r @ moments[c][1] @ r.T
+        gaps = [math.hypot(np.linalg.norm(centroid - moments[j][0]), np.linalg.norm(extent - moments[j][1]))
+                for j in partners[c]]
+        if min(gaps) >= tol:
+            return None
+        pairs.append((c, partners[c][int(np.argmin(gaps))]))
+    return pairs
 
 
 def _cluster(rotations, translations, sources, targets, rmsds, radius: float) -> list[DetectedSymmetry]:

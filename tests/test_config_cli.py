@@ -311,6 +311,12 @@ def replace_line(n, old, new):
     ("samples.jsonl", replace_line(7, '"position": [', '"position": [NaN, '),
      "line 7: expected 3 finite numbers"),
     ("samples.jsonl", lambda lines: lines[:-1] + [lines[-1][:30]], "line 30: invalid JSON"),
+    ("samples.jsonl", replace_line(8, '"position": [', '"position": [5.0, 0.0, 0.0], "x": ['),
+     "line 8: position [5.0, 0.0, 0.0] is off face"),
+    ("samples.jsonl", replace_line(9, '"position": [', '"position": [1e308, 0.0, 0.0], "x": ['),
+     "line 9: position [1e+308, 0.0, 0.0] is off face"),
+    ("samples.jsonl", replace_line(10, '"barycentric": [', '"barycentric": [2.0, -0.5, -0.5], "x": ['),
+     "line 10: barycentric [2.0, -0.5, -0.5] is not convex"),
     ("predictions.jsonl", replace_line(2, '"top1": "', '"top1": "sand", "x": "'),
      "line 2: unknown material 'sand'"),
     ("predictions.jsonl", lambda lines: lines[:4] + lines[5:],
@@ -336,6 +342,29 @@ def test_cli_rejects_damaged_stage_files(tmp_path, caplog, name, damage, message
     assert len(errors) == 1 and f"{path}, line " in errors[0] and message in errors[0]
     assert "Traceback" not in caplog.text
     assert not result.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "symmetry", "geodesic"])
+def test_cli_rejects_a_vertex_too_large_to_compute_with(tmp_path, caplog, command):
+    """A mesh.obj coordinate of 1e308 is finite, but the squared distances
+    and areas made from it overflow; one of 1e150 still loads and runs."""
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", write_spec(tmp_path), "--out", str(out)]) == 0
+    path = out / "mesh.obj"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    for value, code in (("1e308", 1), ("1e150", 0)):
+        lines[n] = f"v {value} 0 0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        caplog.clear()
+        assert cli.main([command, "--shape", str(out)]) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "Traceback" not in caplog.text
+        if code:
+            assert len(errors) == 1
+            assert errors[0].startswith(f"{path}, line {n + 1}: vertex not finite or beyond 1e+150")
+        else:
+            assert not errors
 
 
 def test_cli_infer_rejects_pair_outside_mesh(tmp_path, caplog):

@@ -68,7 +68,7 @@ def test_no_faces_rejected(tmp_path):
         load_obj(str(p))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e151", "-1e151"])
 def test_non_finite_vertex_rejected(tmp_path, value):
     p = tmp_path / "nan.obj"
     p.write_text(f"v 0 0 0\nv 1 0 0\nv {value} 1 0\nf 1 2 3\n")

@@ -20,7 +20,6 @@ from matseg.symmetry import (
     _TRIVIAL_ANGLE,
     DetectedSymmetry,
     RigidTransform,
-    _arrangement,
     _cluster,
     _icp_stack,
     _refit,
@@ -32,7 +31,7 @@ from matseg.symmetry import (
     save_symmetry_pairs,
     symmetry_pairs,
 )
-from matseg.synth import SynthSpec, benchmark_suite, generate
+from matseg.synth import SynthSpec, _box, benchmark_suite, generate
 
 
 
@@ -307,7 +306,7 @@ def test_four_boxes_have_quarter_turn():
                 quarter.append(tid)
     assert quarter, f"quarter turn missing; proper angles: {angles}"
     # every box is congruent to every other, so the search anchors on one
-    # box; the arrangement check still pairs all four
+    # box; the moment pairing still pairs all four
     for tid in quarter:
         assert_pairs_follow(mesh, syms, tid, reps[tid].rotation)
 
@@ -588,10 +587,11 @@ def test_detection_output_is_pinned(round_top_tables, shape):
 
 def test_detection_query_volume(monkeypatch):
     """KD query points of one detection on a jittered suite table (index 2,
-    jitter 0.002, seed 1002). Counts are deterministic: a joint refit whose
-    pairs are gated from its own correspondences makes 214,784; re-querying
-    each pair's whole dense cloud for the gate, with refits stopped at a
-    1e-9 R step, made 365,056."""
+    jitter 0.002, seed 1002). Counts are deterministic: pairing components
+    by their moments, with the joint refit's gate as the only verification,
+    makes 206,336; a KD check of each sparse cloud before the joint refit
+    made 214,784; re-querying each pair's whole dense cloud for the gate,
+    with refits stopped at a 1e-9 R step, made 365,056."""
     queried = []
 
     class CountingTree(cKDTree):
@@ -602,7 +602,49 @@ def test_detection_query_volume(monkeypatch):
     monkeypatch.setattr(symmetry, "cKDTree", CountingTree)
     spec = dataclasses.replace(benchmark_suite()[2], jitter=0.002, seed=1002)
     assert detect_symmetries(generate(spec), seed=spec.seed)
-    assert sum(queried) <= 250_000
+    assert sum(queried) <= 210_000
+
+
+def crossed_bar_table(half_depth):
+    """Two crossed bars, a post and a top of the given half depth (z): the
+    bars are congruent and share one centroid, so only their extents along
+    x and z tell them apart."""
+    boxes = [([-0.5, 0.0, -0.05], [0.5, 0.08, 0.05]), ([-0.05, 0.0, -0.5], [0.05, 0.08, 0.5]),
+             ([-0.05, 0.08, -0.05], [0.05, 0.9, 0.05]), ([-0.6, 0.9, -half_depth], [0.6, 1.0, half_depth])]
+    parts = [_box(lo, hi) for lo, hi in boxes]
+    return build_mesh(np.vstack([v for v, _ in parts]), np.vstack([f + 8 * k for k, (_, f) in enumerate(parts)]),
+                      ("bar_x", "bar_z", "post", "top"), np.repeat(np.arange(4), 12))
+
+
+MIRROR_X, MIRROR_Z = np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])
+# the mirrors across the planes x = z and x = -z
+DIAGONALS = [np.array([[0.0, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, 0.0]]) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("half_depth, rotations", [
+    (0.45, [QUARTER @ QUARTER, MIRROR_X, MIRROR_Z]),
+    (0.6, [np.linalg.matrix_power(QUARTER, k) for k in (1, 2, 3)]
+     + [MIRROR_X, MIRROR_Z, *DIAGONALS]),
+])
+def test_crossed_bars_pair_by_extent(half_depth, rotations):
+    """A rectangular top keeps the half turn and the axis mirrors, each
+    taking every component onto itself; a square top adds the quarter turns
+    and the diagonal mirrors, which swap the bars. Pairing by centroid
+    alone cannot tell the bars apart and loses these transforms."""
+    mesh = crossed_bar_table(half_depth)
+    syms = detect_symmetries(mesh, seed=3)
+    reps = transforms_by_id(syms)
+    assert len(reps) == len(rotations)
+    v = mesh.vertices
+    parts = [v[np.unique(mesh.faces[mesh.component_faces(c)])] for c in range(mesh.n_components)]
+    for rot in rotations:
+        gaps = {k: np.linalg.norm(t.apply(v) - v @ rot.T, axis=1).max() for k, t in reps.items()}
+        tid = min(gaps, key=gaps.get)
+        assert gaps[tid] < 5e-4 * mesh.bounding_radius
+        want = {c: int(np.argmin([cKDTree(q).query(p @ rot.T)[0].max() for q in parts]))
+                for c, p in enumerate(parts)}
+        got = [(s.source_component, s.target_component) for s in syms if s.transform_id == tid]
+        assert len(got) == len(parts) and dict(got) == want, (rot, got)
 
 
 def test_mirror_pairs_come_out_both_ways(suite_detections):
@@ -612,53 +654,6 @@ def test_mirror_pairs_come_out_both_ways(suite_detections):
     leg_pairs = {(i, j) for i, j in pairs if i in legs and j in legs and i != j}
     assert leg_pairs
     assert leg_pairs == {(j, i) for i, j in leg_pairs}
-
-
-def test_early_reject_matches_full_rmsd():
-    mesh = four_box_mesh()
-    rng = np.random.default_rng(11)
-    sources = [component_cloud(mesh, c, 256, rng)[0] for c in range(2)]
-    targets = [component_cloud(mesh, c, 2048, rng)[0] for c in range(2)]
-
-    bounded = []
-
-    class RecordingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            dist, idx = super().query(x, *args, **kwargs)
-            if np.isfinite(kwargs.get("distance_upper_bound", np.inf)):
-                bounded.append(bool(np.isinf(dist).any()))
-            return dist, idx
-
-    trees = [RecordingTree(t) for t in targets]
-    plain = [cKDTree(t) for t in targets]
-    # the second component tries the far box first
-    partners = [[0, 1], [1, 0]]
-    for _ in range(40):
-        reps = []
-        for _ in range(6):
-            rot = Rotation.from_rotvec(rng.normal(scale=0.15, size=3)).as_matrix()
-            if rng.random() < 0.5:
-                rot = rot @ np.diag([-1.0, 1.0, 1.0])
-            reps.append(RigidTransform(rot, rng.normal(scale=0.05, size=3)))
-        # rmsd[r, c, j]: transform r's cloud c against target j, unbounded
-        rmsd = np.array([
-            [[np.sqrt(np.mean(tree.query(t.apply(src))[0] ** 2)) for tree in plain]
-             for src in sources]
-            for t in reps
-        ])
-        # gates on both sides of the rmsds, some within 1e-9
-        gates = rng.choice(rmsd.ravel(), size=4) * rng.choice(
-            [0.2, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=4
-        )
-        for accept in gates:
-            want = []
-            for r in range(len(reps)):
-                pairs = [(c, next((j for j in partners[c] if rmsd[r, c, j] < accept), None))
-                         for c in range(2)]
-                want.append(None if any(j is None for _, j in pairs) else pairs)
-            assert _arrangement(reps, sources, trees, partners, accept) == want
-    assert any(bounded)  # some bounded query found no point in reach
-    assert not all(bounded)
 
 
 def stacked_refit_case(rotation):
