@@ -230,7 +230,8 @@ def _cmd_symmetry(args, config: PipelineConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
     save_symmetries(os.path.join(out_dir, SYMMETRIES_FILE), syms)
     save_symmetry_pairs(os.path.join(out_dir, SYMMETRY_PAIRS_FILE), pairs)
-    log.info("symmetry: %d transforms, %d face pairs -> %s", len(syms), len(pairs), out_dir)
+    log.info("symmetry: %d transforms (%d component pairs), %d face pairs -> %s",
+             len({s.transform_id for s in syms}), len(syms), len(pairs), out_dir)
     return 0
 
 

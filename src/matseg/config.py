@@ -40,7 +40,7 @@ class SymmetryConfig:
     samples_per_component: int = 256
     rmsd_threshold: float = 0.02
     residual_cutoff: float = 0.1
-    max_iter: int = 40
+    max_iter: int = 12
 
 
 @dataclass

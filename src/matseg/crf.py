@@ -35,7 +35,9 @@ from scipy.special import expit, logsumexp
 
 from .config import CrfConfig
 from .errors import InterchangeError, InvalidGraphError, MissingDataError, MissingUnariesError, OracleSizeError
-from .jsonl import check_record, finite_array, one_of, read_json, read_jsonl, unit, write_json, write_jsonl
+from .jsonl import (
+    check_magnitude, check_record, finite_array, one_of, read_json, read_jsonl, unit, write_json, write_jsonl,
+)
 from .materials import MATERIALS, NUM_MATERIALS, material_indices
 from .mesh import FacePairs, LabeledMesh
 from .symmetry import SymmetryPair
@@ -89,7 +91,9 @@ class CrfWeights:
     def from_obj(cls, obj: dict) -> "CrfWeights":
         """Projected weights from a to_obj document over MATERIALS, or from a
         crf-weights-v1 one as its tables times their nonnegative scales;
-        ValueError for anything else, or for a weight beyond the float range."""
+        ValueError for anything else, or for a projected weight beyond the
+        float range or beyond MAX_MAGNITUDE, which inference could not
+        compute with."""
         check_record(obj, _WEIGHT_FIELDS)
         w = cls(obj["materials"], [obj["tables"][f] for f in FAMILIES])
         with np.errstate(over="ignore"):  # rejected below
@@ -99,6 +103,8 @@ class CrfWeights:
             w.project()
         if not np.isfinite(w.tables).all():
             raise ValueError("a weight overflows the float range")
+        for family, table in zip(FAMILIES, w.tables):
+            check_magnitude(table, f'tables["{family}"]')
         return w
 
     def save(self, path: str) -> None:

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .bvh import TriangleBvh
 from .config import FEATURE_DIM, LAMBDA_PRESETS, DescriptorConfig
 from .errors import InterchangeError, MissingDataError
-from .jsonl import finite_array, one_of, read_json, write_json
+from .jsonl import check_magnitude, finite_array, one_of, read_json, write_json
 from .materials import NUM_MATERIALS
 from .mesh import UPRIGHT_AXIS, LabeledMesh
 from .sampling import Samples
@@ -206,7 +206,8 @@ class DescriptorNet:
         h2 = np.tanh(h1 @ p["W2"] + p["b2"])
         desc = h2 @ p["W3"] + p["b3"]
         logits = desc @ p["Wh"] + p["bh"]
-        probs = 1.0 / (1.0 + np.exp(-logits))
+        with np.errstate(over="ignore"):  # exp(-logit) = inf gives the correctly rounded 0.0
+            probs = 1.0 / (1.0 + np.exp(-logits))
         norms = np.maximum(np.linalg.norm(desc, axis=1, keepdims=True), 1e-12)
         return {
             "x": x,
@@ -248,8 +249,9 @@ class DescriptorNet:
     @classmethod
     def load(cls, path: str) -> "DescriptorNet":
         """Read a net written by save; a wrong format, layer sizes or parameter
-        count, or a net that does not read FEATURE_DIM features into
-        NUM_MATERIALS classes, raises InterchangeError."""
+        count, a net that does not read FEATURE_DIM features into
+        NUM_MATERIALS classes, or a parameter beyond MAX_MAGNITUDE, which
+        the forward pass could not compute with, raises InterchangeError."""
         fields = {"format": (str, one_of(_NET_FORMAT)), "layer_sizes": list, "n_classes": int,
                   "params": (list, finite_array)}
         doc = read_json(path, fields)
@@ -269,6 +271,10 @@ class DescriptorNet:
             size = net.params[name].size
             net.params[name] = flat[at : at + size].reshape(net.params[name].shape)
             at += size
+            try:
+                check_magnitude(net.params[name], name)
+            except ValueError as exc:
+                raise InterchangeError(path, str(exc)) from None
         return net
 
 

@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import InterchangeError
 
+# the largest magnitude a stored coordinate or weight may have: squares,
+# products and short sums of such numbers stay finite (squares overflow
+# near 1.3e154)
+MAX_MAGNITUDE = 1e150
+
 
 def finite(value) -> bool:
     """Whether a JSON value is a number, not a bool, that a float holds finitely."""
@@ -39,6 +44,15 @@ def int64(value: int) -> int:
     if not -2**63 <= value < 2**63:
         raise ValueError(f"{value} does not fit in 64 bits")
     return value
+
+
+def check_magnitude(array: np.ndarray, name: str) -> None:
+    """ValueError naming the first entry of ``array``, as name[i][j]..., that
+    is NaN or beyond MAX_MAGNITUDE in magnitude."""
+    bad = ~(np.abs(array) <= MAX_MAGNITUDE)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), array.shape)
+        raise ValueError(f"{name}{''.join(f'[{i}]' for i in at)} = {array[at]:g} is beyond {MAX_MAGNITUDE:g}")
 
 
 def one_of(*choices):

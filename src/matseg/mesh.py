@@ -14,13 +14,10 @@ import numpy as np
 from scipy.sparse import csr_matrix, triu
 
 from .errors import EmptyMeshError, MalformedObjError, NonFiniteGeometryError, UnknownComponentError
-from .jsonl import read_json, write_json
+from .jsonl import MAX_MAGNITUDE, read_json, write_json
 from .materials import MaterialLabelSet, label_map
 
 UPRIGHT_AXIS = np.array([0.0, 1.0, 0.0])
-# the largest vertex coordinate accepted, by magnitude: squared distances
-# between vertices overflow near 1.3e154
-MAX_COORDINATE = 1e150
 
 
 def y_rotation(angle: float) -> np.ndarray:
@@ -99,9 +96,9 @@ def build_mesh(
     face_component = np.asarray(face_component, dtype=np.int64)
     if len(faces) == 0:
         raise EmptyMeshError("mesh has no faces")
-    finite = (np.abs(vertices) <= MAX_COORDINATE).all(axis=1)  # NaN fails too
+    finite = (np.abs(vertices) <= MAX_MAGNITUDE).all(axis=1)  # NaN fails too
     if not finite.all():
-        raise NonFiniteGeometryError(f"vertex {int(np.argmin(finite))} is not finite or beyond {MAX_COORDINATE:g}")
+        raise NonFiniteGeometryError(f"vertex {int(np.argmin(finite))} is not finite or beyond {MAX_MAGNITUDE:g}")
     if faces.min() < 0 or faces.max() >= len(vertices):
         raise ValueError("face references a vertex out of range")
     if len(face_component) != len(faces):
@@ -199,8 +196,8 @@ def load_obj(path: str) -> LabeledMesh:
                     xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
                 except ValueError:
                     raise MalformedObjError(path, "bad vertex coordinate", lineno) from None
-                if not all(abs(x) <= MAX_COORDINATE for x in xyz):  # NaN fails too
-                    raise MalformedObjError(path, f"vertex not finite or beyond {MAX_COORDINATE:g}", lineno)
+                if not all(abs(x) <= MAX_MAGNITUDE for x in xyz):  # NaN fails too
+                    raise MalformedObjError(path, f"vertex not finite or beyond {MAX_MAGNITUDE:g}", lineno)
                 vertices.append(xyz)
             elif tag == "g" or tag == "o":
                 name = " ".join(parts[1:]) if len(parts) > 1 else "default"

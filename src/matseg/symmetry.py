@@ -4,24 +4,26 @@ Hypotheses come from one anchor component, after Mitra, Guibas & Pauly
 ("Partial and Approximate Symmetry Detection for 3D Geometry", SIGGRAPH
 2006): every symmetry of the shape maps the anchor onto a congruent
 component, so ICP fits of the anchor onto each congruent partner propose
-the shape's symmetries, as far as the starts reach them. The starts are one
-stack of transforms, a ring of turns about the upright axis, each alone and
-composed with the x or the y mirror (the z mirror is the x mirror turned
-half way, a start the ring already has); ICP runs them all on one shared
-source cloud. A component that stays on itself under a turn finer than the
-ring (a round top) would propose its own turns, so another serves as anchor
-where one can. The fits are clustered, and each cluster's transform is
-sharpened point-to-plane (Rusinkiewicz & Levoy, 3DIM 2001) and verified
-once: each component is paired with the congruent one whose centroid and
-extent matrix lie nearest its moved ones, one joint point-to-plane refit
-over the stacked correspondences of all those pairs polishes the transform,
-and it survives only if every pair is under the gate at the refit's last
-correspondences. A pair that maps a component onto itself is also probed by
-a refit of that pair alone, which catches a component that only the other
-pairs hold in place. The survivors are clustered again, so each distinct
-symmetry appears once. Its face pairs feed the CRF's symmetry factors.
-Detected symmetries are saved as one JSON document, face pairs as JSON
-lines.
+the shape's symmetries, as far as the starts reach them. One fitter serves
+every fit: point-to-plane ICP (Chen & Medioni 1992; Rusinkiewicz & Levoy,
+3DIM 2001), run on a stack of motions at once. The starts are one stack of
+transforms, a ring of turns about the upright axis, each alone and composed
+with the x or the y mirror (the z mirror is the x mirror turned half way, a
+start the ring already has), all fitted from one shared source cloud; a
+start still two gates off after its first step is abandoned. A component
+that stays on itself under a turn finer than the ring (a round top) would
+propose its own turns, so another serves as anchor where one can. The fits
+are clustered, and each cluster's chordal mean is verified once as it
+stands, with no sharpening fit first: each component is paired with the
+congruent one whose centroid and extent matrix lie nearest its moved ones,
+one joint refit over the stacked correspondences of all those pairs
+polishes the transform, and it survives only if every pair is under the
+gate at the refit's last correspondences. A pair that maps a component onto
+itself is also probed by a refit of that pair alone, which catches a
+component that only the other pairs hold in place. The survivors are
+clustered again, so each distinct symmetry appears once. Its face pairs
+feed the CRF's symmetry factors. Detected symmetries are saved as one JSON
+document, face pairs as JSON lines.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ _CLUSTER_TRANSLATION = 0.05
 # less, four orders below the default gate (0.02 R): a shorter step only
 # re-confirms a fit already reached
 _REFIT_STEP = 1e-6
-_REFIT_MAX_ITER = 12
+# a start whose rmsd after its first point-to-plane step is this many gates
+# or more is dropped there: point-to-plane converges in a few steps, and a
+# start that far off has not found a partner's match
+_ABANDON_GATES = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,109 +147,67 @@ class SymmetryPair:
     transform_id: int
 
 
-def _kabsch_stack(centered, centroid, dst, det_sign):
-    """Best rigid fits of one source cloud onto a stack of matched points.
+def _refit(pairs, targets, normals, trees, rotations, translations, max_iter, center, radius, abandon=np.inf):
+    """Point-to-plane ICP (Chen & Medioni 1992; Rusinkiewicz & Levoy 2001)
+    of a stack of S motions (``rotations``, reflections allowed, and
+    ``translations``), each over the stacked correspondences of every pair.
 
-    ``centered`` (n, 3) is the source about its ``centroid`` (3,), ``dst``
-    (s, n, 3) the targets each fit matched it to; each fitted matrix has the
-    determinant sign in ``det_sign`` (s,). One batched SVD serves the stack.
-    """
-    dc = dst.mean(axis=1)
-    h = np.einsum("nk,snj->skj", centered, dst - dc[:, None, :])
-    u, _, vt = np.linalg.svd(h)
-    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
-    d = np.ones((len(h), 3))
-    d[:, 2] = det_sign * np.where(np.linalg.det(v @ ut) >= 0.0, 1.0, -1.0)
-    r = (v * d[:, None, :]) @ ut
-    return r, dc - r @ centroid
+    ``pairs`` lists (moving cloud, target index j); each moved cloud is
+    matched to its nearest points of ``targets[j]`` through ``trees[j]``, in
+    one query per pair over all moving motions. Each step linearizes the
+    rotation, solves for the small motion (w, v) that best slides all moved
+    clouds at once onto the tangent planes of their nearest targets, and
+    applies it as ``R <- dR R, t <- dR t + v`` with dR the exact rotation by
+    w, so a reflection stays a reflection. The minimum-norm solve leaves a
+    free direction (a round top spun about its axis) at the start's value.
+    A motion stops when a step moves the bounding sphere by less than
+    _REFIT_STEP * radius, when its rmsd after its first step is ``abandon``
+    or more, or after ``max_iter`` steps.
 
-
-def _icp_stack(source, target, tree, rotations, translations, max_iter, tol, abandon):
-    """ICP of one source cloud onto one target cloud from a stack of starts.
-
-    Start k moves the shared ``source`` (n points) from ``rotations[k]``
-    (a turn, or a turn composed with a mirror) and ``translations[k]``, and
-    keeps that matrix's determinant sign. Each sweep makes one KD query over
-    the active starts and one stacked Kabsch fit. A start stops once its
-    rmsd changes by less than ``tol``; one still above ``abandon`` after 6
-    sweeps cannot reach the acceptance gate and is cut short. Returns the
-    rotations, translations and rmsds of every start.
-    """
-    n = len(source)
-    r = np.array(rotations, dtype=np.float64)
-    t = np.array(translations, dtype=np.float64)
-    det_sign = np.sign(np.linalg.det(r))
-    centroid = source.mean(axis=0)
-    centered = source - centroid
-
-    def sweep(active):
-        moved = np.einsum("nk,sjk->snj", source, r[active]) + t[active, None, :]
-        dist, idx = tree.query(moved.reshape(-1, 3))
-        dist = dist.reshape(len(active), n)
-        return np.sqrt(np.mean(dist * dist, axis=1)), idx.reshape(len(active), n)
-
-    active = np.arange(len(r))
-    rmsd, idx = sweep(active)
-    for it in range(max_iter):
-        if it >= 6:
-            keep = rmsd[active] <= abandon
-            active, idx = active[keep], idx[keep]
-        if len(active) == 0:
-            break
-        r[active], t[active] = _kabsch_stack(centered, centroid, target[idx], det_sign[active])
-        new, idx = sweep(active)
-        done = np.abs(rmsd[active] - new) < tol
-        rmsd[active] = new
-        active, idx = active[~done], idx[~done]
-    return r, t, rmsd
-
-
-def _refit(pairs, targets, normals, trees, init, max_iter, center, radius):
-    """Point-to-plane ICP (Rusinkiewicz & Levoy 2001) of one motion from
-    ``init``, over the stacked correspondences of every pair.
-
-    ``pairs`` lists (moving cloud, target index j); each cloud is matched
-    to its nearest points of ``targets[j]`` through ``trees[j]``. Each step
-    linearizes the rotation, solves for the small motion (w, v) that best
-    slides all moved clouds at once onto the tangent planes of their
-    nearest targets, and applies it as ``R <- dR R, t <- dR t + v`` with dR
-    the exact rotation by w, so a reflection stays a reflection. The
-    minimum-norm solve leaves a free direction (a round top spun about its
-    axis) at the start's value. Stops when a step moves the bounding sphere
-    by less than _REFIT_STEP * radius, or after ``max_iter`` steps.
-
-    Returns the transform and, per pair, the nearest distances of the last
-    query. After a stop on a short step they were measured before that
-    step; after ``max_iter`` steps one more query measures them at the
-    returned transform. Either way, each lies within _REFIT_STEP * radius of
-    the distance under the returned transform, for clouds inside the
-    bounding sphere.
+    Returns the rotations, the translations and, per pair, the (S, n)
+    nearest distances of each motion's last query. After a stop on a short
+    step they were measured before that step; after ``max_iter`` steps one
+    more query measures them at the returned motion. Either way, each lies
+    within _REFIT_STEP * radius of the distance under the returned motion,
+    for clouds inside the bounding sphere.
     """
     source = np.vstack([cloud for cloud, _ in pairs])
     ends = np.cumsum([len(cloud) for cloud, _ in pairs])[:-1]
-    r = init.rotation
-    t = init.translation
+    r = np.array(rotations, dtype=np.float64)
+    t = np.array(translations, dtype=np.float64)
+    dists = [np.empty((len(r), len(cloud))) for cloud, _ in pairs]
+    active = np.arange(len(r))
     for it in range(max_iter + 1):
-        moved = source @ r.T + t
-        parts = np.split(moved, ends)
-        dist, idx = zip(*(trees[j].query(part) for (_, j), part in zip(pairs, parts)))
+        if len(active) == 0:
+            break
+        moved = source @ r[active].transpose(0, 2, 1) + t[active, None, :]
+        idx = []
+        for (_, j), part, dist in zip(pairs, np.split(moved, ends, axis=1), dists):
+            dist[active], i = trees[j].query(part)
+            idx.append(i)
         if it == max_iter:
             break
-        nearest = np.vstack([targets[j][i] for (_, j), i in zip(pairs, idx)])
-        n = np.vstack([normals[j][i] for (_, j), i in zip(pairs, idx)])
+        if it == 1:
+            rmsd = np.sqrt(np.mean(np.hstack([dist[active] for dist in dists]) ** 2, axis=1))
+            keep = rmsd < abandon
+            active, moved, idx = active[keep], moved[keep], [i[keep] for i in idx]
+        nearest = np.concatenate([targets[j][i] for (_, j), i in zip(pairs, idx)], axis=1)
+        n = np.concatenate([normals[j][i] for (_, j), i in zip(pairs, idx)], axis=1)
         # columns scaled to the radius so the solve does not depend on units
-        a = np.hstack([np.cross(moved, n) / radius, n])
-        b = np.einsum("ij,ij->i", nearest - moved, n)
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-        w, v = x[:3] / radius, x[3:]
-        dr = Rotation.from_rotvec(w).as_matrix()
-        r = dr @ r
-        t = dr @ t + v
-        # bound on how far any point of the bounding sphere moved this step
-        shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
-        if shift < _REFIT_STEP * radius:
-            break
-    return RigidTransform(r, t), list(dist)
+        a = np.concatenate([np.cross(moved, n) / radius, n], axis=2)
+        b = np.einsum("sij,sij->si", nearest - moved, n)
+        stepped = []
+        for k, ak, bk in zip(active, a, b):
+            x = np.linalg.lstsq(ak, bk, rcond=None)[0]
+            w, v = x[:3] / radius, x[3:]
+            dr = Rotation.from_rotvec(w).as_matrix()
+            r[k] = dr @ r[k]
+            t[k] = dr @ t[k] + v
+            # bound on how far any point of the bounding sphere moved this step
+            shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
+            stepped.append(shift >= _REFIT_STEP * radius)
+        active = active[np.array(stepped, dtype=bool)]
+    return r, t, dists
 
 
 def _moments(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,17 +258,21 @@ def detect_symmetries(
     from 24 starts, run as one stack on that one cloud: 8 turns about the
     upright axis, each alone and composed with the x and the y mirror,
     each with the translation that carries the anchor's centroid onto the
-    partner's. Fits with rmsd below ``rmsd_threshold * bounding_radius``
-    are kept, and for a partner other than the anchor each is followed by
-    its inverse, which stands for the pair (partner, anchor). Near-identity
-    and translation-only fits are discarded, and the survivors clustered by
-    angle/axis/translation proximity into distinct transforms.
+    partner's. Each start, like every fit here, is a point-to-plane refit
+    (see _refit) of at most ``max_iter`` steps; one whose rmsd after its
+    first step is _ABANDON_GATES gates or more stops there. Fits with rmsd
+    below ``rmsd_threshold * bounding_radius`` are kept, and for a partner
+    other than the anchor each is followed by its inverse, which stands for
+    the pair (partner, anchor). Near-identity and translation-only fits are
+    discarded, and the survivors clustered by angle/axis/translation
+    proximity into distinct transforms.
 
-    Each cluster's averaged transform is sharpened by a point-to-plane
-    refit of one member pair's sparse source cloud, then verified on the
-    whole shape: it survives only if it maps every component onto a
-    congruent component under the gate, so congruences private to one pair
-    (a cylindrical leg spun onto itself) do not count as shape symmetries.
+    Each cluster's averaged transform goes straight to verification on the
+    whole shape, in the order of the clusters' best fits, those of the
+    anchor's cloud first; that order numbers the transform ids. A transform
+    survives only if it maps every component onto a congruent component
+    under the gate, so congruences private to one pair (a cylindrical leg
+    spun onto itself) do not count as shape symmetries.
     Each component's target is the partner whose centroid and extent matrix
     lie nearest its own moved ones, within two gates. One point-to-plane
     refit of the transform runs over the stacked correspondences of all
@@ -332,7 +299,6 @@ def detect_symmetries(
         normals.append(mesh.face_normals[picked])
 
     accept = rmsd_threshold * radius
-    refit_iter = min(max_iter, _REFIT_MAX_ITER)
 
     trees = [cKDTree(t) if len(t) >= 3 else None for t in targets]
     moments = [None if tree is None else _moments(t) for t, tree in zip(targets, trees)]
@@ -364,12 +330,11 @@ def detect_symmetries(
     # candidate rows: rotation, translation, source, target, rmsd
     columns = []
     for j in partners[anchor]:
-        # coarse tolerance: candidates only need to land in the right
-        # cluster, the sharpening and refinement passes repolish
-        r, t, rmsd = _icp_stack(
-            cloud, targets[j], trees[j], starts, targets[j].mean(axis=0) - turned_centroid,
-            max_iter, 0.02 * accept, abandon=3.0 * accept,
+        r, t, dists = _refit(
+            [(cloud, j)], targets, normals, trees, starts, targets[j].mean(axis=0) - turned_centroid,
+            max_iter, center, radius, abandon=_ABANDON_GATES * accept,
         )
+        rmsd = np.sqrt(np.mean(dists[0] * dists[0], axis=1))
         keep = (rmsd < accept) & ~_trivial(r)
         r, t, rmsd = r[keep], t[keep], rmsd[keep]
         # a fit onto a partner other than the anchor is followed by its
@@ -383,18 +348,11 @@ def detect_symmetries(
             np.repeat(rmsd, sides),
         ))
     candidates = (np.concatenate(column) for column in zip(*columns))
-
-    # sharpen each cluster's averaged representative point-to-plane on one
-    # member pair's sparse cloud, an anchor-source pair where there is one
-    best: dict[int, DetectedSymmetry] = {}
+    # each cluster's chordal mean is verified as it stands, the clusters
+    # taken in the order of their best fits, those from the anchor first
+    reps = {}
     for sym in sorted(_cluster(*candidates, radius), key=lambda s: (s.source_component != anchor, s.rmsd)):
-        best.setdefault(sym.transform_id, sym)
-    fits = [
-        _refit([(sources[s.source_component], s.target_component)], targets, normals, trees,
-               s.transform, refit_iter, center, radius)[0]
-        for s in best.values()
-    ]
-    reps = [fit for fit in fits if not _trivial(fit.rotation[None])[0]]
+        reps.setdefault(sym.transform_id, sym.transform)
 
     # a pair of congruent components (two identical legs, a cylinder onto
     # itself at any offset) fits under the gate without being a symmetry of the
@@ -410,19 +368,21 @@ def detect_symmetries(
     # from the joint fit moves its sparse cloud by the gate (rms), to a
     # congruence of that component alone (the top's own 112.5 degrees).
     refit = []  # rows as the candidates': rotation, translation, source, target, rmsd
-    for rep in reps:
+    for rep in reps.values():
         pairs = _pairing(rep, moments, valid, partners, _PAIRING_GATES * accept)
         if pairs is None:
             continue
         moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
-        fit, dists = _refit(moving, targets, normals, trees, rep, refit_iter, center, radius)
-        rmsds = [float(np.sqrt(np.mean(dist * dist))) for dist in dists]
-        if _trivial(fit.rotation[None])[0] or max(rmsds) >= accept:
+        r, t, dists = _refit(moving, targets, normals, trees, rep.rotation[None], rep.translation[None],
+                             max_iter, center, radius)
+        rmsds = [float(np.sqrt(np.mean(dist[0] * dist[0]))) for dist in dists]
+        if _trivial(r)[0] or max(rmsds) >= accept:
             continue
+        fit = RigidTransform(r[0], t[0])
         for (c, j), pair, rmsd in zip(pairs, moving, rmsds):
             if c == j:
-                probe = _refit([pair], targets, normals, trees, fit, refit_iter, center, radius)[0]
-                slide = probe.apply(sources[c]) - fit.apply(sources[c])
+                probe_r, probe_t, _ = _refit([pair], targets, normals, trees, r, t, max_iter, center, radius)
+                slide = RigidTransform(probe_r[0], probe_t[0]).apply(sources[c]) - fit.apply(sources[c])
                 if np.sqrt(np.mean(np.einsum("ij,ij->i", slide, slide))) >= accept:
                     continue
             refit.append((fit.rotation, fit.translation, c, j, rmsd))

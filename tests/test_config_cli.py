@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,79 @@ def test_cli_rejects_damaged_documents(tmp_path, caplog, name, damage, message):
     assert len(errors) == 1 and str(path) in errors[0] and message in errors[0]
     assert "Traceback" not in caplog.text
     assert not result.exists()
+
+
+def set_weight(name, value):
+    """Damage: set one entry of a stored net or CRF weight document, W3[0][0]
+    of the net or the metal adj weight [1][1]."""
+    def damage(text):
+        doc = json.loads(text)
+        if name == "net.json":
+            doc["params"][64 * 128 + 128 * 64] = value  # W3 follows W1 and W2 in name order
+        else:
+            doc["tables"]["adj"][MATERIALS.index("metal")][1][1] = value
+        return json.dumps(doc)
+    return damage
+
+
+@pytest.mark.parametrize("name, too_large, entry", [
+    ("net.json", 1e155, "W3[0][0] = 1e+155 is beyond 1e+150"),
+    ("crf_weights.json", 1e308, f'tables["adj"][{MATERIALS.index("metal")}][1][1] = 1e+308 is beyond 1e+150'),
+])
+def test_cli_rejects_weights_too_large_to_compute_with(tmp_path, caplog, name, too_large, entry):
+    """A finite stored weight so large that predict or infer would overflow
+    exits 1 naming the file and the entry; one of 1e150 runs with no warning."""
+    from matseg.crf import CrfWeights
+    from matseg.descriptor import DescriptorNet
+
+    out = infer_ready_shape(tmp_path)
+    path = out / name
+    DescriptorNet(seed=0).save(str(out / "net.json"))
+    CrfWeights.ones().save(str(path.with_name("crf_weights.json")))
+    stored = path.read_text(encoding="utf-8")
+    command = "predict" if name == "net.json" else "infer"
+    argv = [command, "--shape", str(out), "--net" if command == "predict" else "--weights", str(path)]
+    for value, code in ((too_large, 1), (1e150, 0)):
+        path.write_text(set_weight(name, value)(stored), encoding="utf-8")
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "Traceback" not in caplog.text
+        if code:
+            assert len(errors) == 1 and errors[0] == f"{path}: {entry}"
+        else:
+            assert not errors
+
+
+def test_cli_symmetry_logs_distinct_transforms(tmp_path, caplog):
+    """The log counts the transform ids that symmetries.json holds, and
+    its (transform, source, target) entries as component pairs."""
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", write_spec(tmp_path), "--out", str(out)]) == 0
+    caplog.set_level(logging.INFO, logger="matseg")
+    assert cli.main(["symmetry", "--shape", str(out)]) == 0
+    entries = json.loads((out / "symmetries.json").read_text(encoding="utf-8"))["symmetries"]
+    n_pairs = len((out / "symmetry_pairs.jsonl").read_text(encoding="utf-8").splitlines())
+    n_ids = len({e["transform_id"] for e in entries})
+    assert n_ids < len(entries)
+    logged = [r.getMessage() for r in caplog.records if " face pairs -> " in r.getMessage()]
+    assert logged == [f"symmetry: {n_ids} transforms ({len(entries)} component pairs), "
+                      f"{n_pairs} face pairs -> {out}"]
+
+
+def test_cli_symmetry_max_iter_acts(tmp_path):
+    """symmetry.max_iter caps every refit: at 0 the starts are gated as
+    they stand, and the face pairs differ from the default's."""
+    out = tmp_path / "shape"
+    assert cli.main(["synth", "--spec", write_spec(tmp_path), "--out", str(out)]) == 0
+    written = []
+    for extra in ([], ["--set", "symmetry.max_iter=0"]):
+        result = tmp_path / f"run{len(written)}"
+        assert cli.main(["symmetry", "--shape", str(out), "--out", str(result), *extra]) == 0
+        written.append((result / "symmetry_pairs.jsonl").read_bytes())
+    assert written[0] and written[0] != written[1]
 
 
 def test_cli_train_desc_names_labels_file_with_unknown_component(tmp_path, caplog):

@@ -21,7 +21,6 @@ from matseg.symmetry import (
     DetectedSymmetry,
     RigidTransform,
     _cluster,
-    _icp_stack,
     _refit,
     angle_axes,
     detect_symmetries,
@@ -131,60 +130,100 @@ def test_angle_axes_of_a_stack_match_one_at_a_time():
         assert np.array_equal(axis, one_axis)
 
 
+def moved_box_case(true):
+    """Box 0 of the four boxes: a sparse source cloud, and the dense cloud
+    it was drawn from moved by ``true``, with its face normals, as the one
+    target of a refit."""
+    mesh = four_box_mesh()
+    points, faces = component_cloud(mesh, 0, 2048, np.random.default_rng(5))
+    dst = true.apply(points)
+    return mesh, points[::8], [dst], [mesh.face_normals[faces] @ true.rotation.T], [cKDTree(dst)]
+
+
 def test_icp_recovers_known_rotation():
-    rng = np.random.default_rng(5)
-    src = rng.normal(size=(120, 3))
     true = RigidTransform(y_rotation(math.radians(30.0)), np.array([0.3, -0.1, 0.2]))
-    dst = true.apply(src)
-    init = RigidTransform(y_rotation(math.radians(22.0)),
-                          dst.mean(axis=0) - y_rotation(math.radians(22.0)) @ src.mean(axis=0))
-    r, t, rmsd = _icp_stack(src, dst, cKDTree(dst), init.rotation[None],
-                            init.translation[None], 50, 1e-10, abandon=np.inf)
-    assert rmsd[0] < 1e-9
-    angle, axis = RigidTransform(r[0] @ true.rotation.T, np.zeros(3)).angle_axis()
-    assert angle < 1e-3
+    mesh, src, targets, normals, trees = moved_box_case(true)
+    start = y_rotation(math.radians(22.0))
+    r, t, dists = _refit([(src, 0)], targets, normals, trees, start[None],
+                         (targets[0].mean(axis=0) - start @ src.mean(axis=0))[None], 12,
+                         mesh.bounding_center, mesh.bounding_radius)
+    assert np.sqrt(np.mean(dists[0] ** 2)) < 1e-9
+    angle, _ = RigidTransform(r[0] @ true.rotation.T, np.zeros(3)).angle_axis()
+    assert angle < 1e-6
 
 
 def test_icp_keeps_reflection_sign():
-    rng = np.random.default_rng(6)
-    src = rng.normal(size=(100, 3))
-    mirror = RigidTransform(np.diag([-1.0, 1.0, 1.0]), np.array([0.2, 0.0, 0.0]))
-    dst = mirror.apply(src)
-    r, t, rmsd = _icp_stack(src, dst, cKDTree(dst), np.diag([-1.0, 1.0, 1.0])[None],
-                            np.zeros((1, 3)), 50, 1e-10, abandon=np.inf)
-    assert rmsd[0] < 1e-9
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    true = RigidTransform(mirror, np.array([0.2, 0.0, 0.0]))
+    mesh, src, targets, normals, trees = moved_box_case(true)
+    start = y_rotation(math.radians(4.0)) @ mirror
+    r, t, dists = _refit([(src, 0)], targets, normals, trees, start[None], np.array([[0.22, 0.01, -0.01]]),
+                         12, mesh.bounding_center, mesh.bounding_radius)
+    assert np.sqrt(np.mean(dists[0] ** 2)) < 1e-9
     assert RigidTransform(r[0], t[0]).det == -1.0
 
 
-def test_stacked_starts_match_single_starts():
-    # 16 of the detection's starts, 8 turns about the upright axis, each
-    # alone and after the x mirror, run as one stack on one shared source
-    # cloud and one at a time: one box onto another, and two opposite boxes
-    # at once, which cannot fit one box
-    mesh = four_box_mesh()
-    rng = np.random.default_rng(4)
+def box_starts(mesh, rng):
+    """16 of the detection's starts, 8 turns about the upright axis, each
+    alone and after the x mirror; the dense cloud of box 1 with its face
+    normals as the one target; and two source clouds: box 0, and boxes 0
+    and 2 at once, which cannot fit one box."""
     src = component_cloud(mesh, 0, 256, rng)[0]
     pair = np.vstack([src[:128], component_cloud(mesh, 2, 128, rng)[0]])
-    dst = component_cloud(mesh, 1, 2048, rng)[0]
-    tree = cKDTree(dst)
+    dst, faces = component_cloud(mesh, 1, 8192, rng)
     turns = [y_rotation(k * math.pi / 4) for k in range(8)]
-    r0 = np.stack(turns + [r @ np.diag([-1.0, 1.0, 1.0]) for r in turns])
-    accept = 0.02 * mesh.bounding_radius
+    starts = np.stack(turns + [r @ np.diag([-1.0, 1.0, 1.0]) for r in turns])
+    return starts, [dst], [mesh.face_normals[faces]], [cKDTree(dst)], (src, pair)
+
+
+def test_stacked_starts_match_single_starts():
+    # the starts run as one stack on one shared source cloud and one at a
+    # time give bitwise the same motions and distances
+    mesh = four_box_mesh()
+    radius, center = mesh.bounding_radius, mesh.bounding_center
+    starts, targets, normals, trees, clouds = box_starts(mesh, np.random.default_rng(4))
+    accept = 0.02 * radius
     rmsds = []
-    for cloud in (src, pair):
-        t0 = dst.mean(axis=0) - r0 @ cloud.mean(axis=0)
-        rots, trans, rmsd = _icp_stack(cloud, dst, tree, r0, t0, 50, 4e-4 * accept, abandon=3.0 * accept)
+    for cloud in clouds:
+        t0 = targets[0].mean(axis=0) - starts @ cloud.mean(axis=0)
+        rots, trans, dists = _refit([(cloud, 0)], targets, normals, trees, starts, t0, 12, center, radius,
+                                    abandon=2.0 * accept)
         assert (np.linalg.det(rots) < 0.0).tolist() == [False] * 8 + [True] * 8
-        for k in range(len(r0)):
-            r, t, e = _icp_stack(cloud, dst, tree, r0[k:k + 1], t0[k:k + 1], 50,
-                                 4e-4 * accept, abandon=3.0 * accept)
-            assert np.allclose(rots[k], r[0], rtol=0.0, atol=1e-12)
-            assert np.allclose(trans[k], t[0], rtol=0.0, atol=1e-12)
-            assert abs(rmsd[k] - e[0]) <= 1e-12
-        rmsds.append(rmsd)
+        for k in range(len(starts)):
+            r, t, d = _refit([(cloud, 0)], targets, normals, trees, starts[k:k + 1], t0[k:k + 1], 12,
+                             center, radius, abandon=2.0 * accept)
+            assert np.array_equal(rots[k], r[0])
+            assert np.array_equal(trans[k], t[0])
+            assert np.array_equal(dists[0][k], d[0][0])
+        rmsds.append(np.sqrt(np.mean(dists[0] ** 2, axis=1)))
     # some starts land under the gate, some are abandoned above it
     rmsds = np.concatenate(rmsds)
-    assert (rmsds < accept).any() and (rmsds > 3.0 * accept).any()
+    assert (rmsds < accept).any() and (rmsds >= 2.0 * accept).any()
+
+
+def test_refit_abandons_a_start_after_its_first_step():
+    """A start still 2 gates off after its first step returns its step-1
+    motion and distances; a good start in the same stack runs on. Every
+    other start is put 0.3 R off the target's centroid."""
+    mesh = four_box_mesh()
+    radius, center = mesh.bounding_radius, mesh.bounding_center
+    starts, targets, normals, trees, (cloud, _) = box_starts(mesh, np.random.default_rng(4))
+    t0 = targets[0].mean(axis=0) - starts @ cloud.mean(axis=0)
+    t0[1::2, 0] += 0.3 * radius
+    abandon = 0.04 * radius
+    rots, trans, dists = _refit([(cloud, 0)], targets, normals, trees, starts, t0, 12, center, radius,
+                                abandon=abandon)
+    one = _refit([(cloud, 0)], targets, normals, trees, starts, t0, 1, center, radius)
+    first = np.sqrt(np.mean(one[2][0] ** 2, axis=1))
+    dropped = first >= abandon
+    assert dropped.any() and (~dropped).any()
+    assert np.array_equal(rots[dropped], one[0][dropped])
+    assert np.array_equal(trans[dropped], one[1][dropped])
+    assert np.array_equal(dists[0][dropped], one[2][0][dropped])
+    # the kept starts ran past their first step, as with no abandon gate
+    alone = _refit([(cloud, 0)], targets, normals, trees, starts, t0, 12, center, radius)
+    assert np.array_equal(rots[~dropped], alone[0][~dropped])
+    assert not np.array_equal(rots[~dropped], one[0][~dropped])
 
 
 def dict_cluster(candidates, radius):
@@ -560,13 +599,13 @@ def test_jittered_cabinet_finds_no_non_symmetry():
 # table with five box legs. A change that alters any fit, cluster or gate
 # shows here first.
 PINNED = {
-    2: (192, {0: (1, 2, 3, 0, 4), 1: (3, 0, 1, 2, 4), 2: (2, 3, 0, 1, 4)}),
+    2: (192, {0: (3, 0, 1, 2, 4), 1: (1, 2, 3, 0, 4), 2: (2, 3, 0, 1, 4)}),
     15: (35, {0: (1, 0, 3, 2, 4, 5)}),
     25: (46, {0: (0, 1, 2, 3, 4), 1: (0, 2, 1, 4, 3)}),
     "round": (202, {
-        0: (4, 3, 2, 1, 0), 1: (3, 4, 0, 1, 2), 2: (2, 1, 0, 4, 3), 3: (1, 0, 4, 3, 2),
-        4: (3, 2, 1, 0, 4), 5: (4, 0, 1, 2, 3), 6: (1, 2, 3, 4, 0), 7: (2, 3, 4, 0, 1),
-        8: (0, 4, 3, 2, 1, 5),
+        0: (4, 3, 2, 1, 0), 1: (3, 4, 0, 1, 2), 2: (2, 1, 0, 4, 3), 3: (3, 2, 1, 0, 4),
+        4: (1, 0, 4, 3, 2), 5: (0, 4, 3, 2, 1, 5), 6: (4, 0, 1, 2, 3), 7: (1, 2, 3, 4, 0),
+        8: (2, 3, 4, 0, 1),
     }),
 }
 
@@ -587,22 +626,24 @@ def test_detection_output_is_pinned(round_top_tables, shape):
 
 def test_detection_query_volume(monkeypatch):
     """KD query points of one detection on a jittered suite table (index 2,
-    jitter 0.002, seed 1002). Counts are deterministic: pairing components
-    by their moments, with the joint refit's gate as the only verification,
-    makes 206,336; a KD check of each sparse cloud before the joint refit
-    made 214,784; re-querying each pair's whole dense cloud for the gate,
-    with refits stopped at a 1e-9 R step, made 365,056."""
+    jitter 0.002, seed 1002). Counts are deterministic: one point-to-plane
+    fitter for the starts and the verification, with no sharpening pass
+    between them, makes 182,016; point-to-point starts and a sharpening
+    refit of each cluster made 206,336; a KD check of each sparse cloud
+    before the joint refit made 214,784; re-querying each pair's whole
+    dense cloud for the gate, with refits stopped at a 1e-9 R step, made
+    365,056."""
     queried = []
 
     class CountingTree(cKDTree):
         def query(self, x, *args, **kwargs):
-            queried.append(len(x))
+            queried.append(np.asarray(x).size // 3)  # points of a (n, 3) or (S, n, 3) query
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(symmetry, "cKDTree", CountingTree)
     spec = dataclasses.replace(benchmark_suite()[2], jitter=0.002, seed=1002)
     assert detect_symmetries(generate(spec), seed=spec.seed)
-    assert sum(queried) <= 210_000
+    assert sum(queried) <= 190_000
 
 
 def crossed_bar_table(half_depth):
@@ -683,7 +724,9 @@ def test_stacked_refit_recovers_the_shared_motion(rotation):
     itself."""
     mesh, true, moving, targets, normals, trees, start = stacked_refit_case(rotation)
     radius = mesh.bounding_radius
-    fit, _ = _refit(moving, targets, normals, trees, start, 12, mesh.bounding_center, radius)
+    r, t, _ = _refit(moving, targets, normals, trees, start.rotation[None], start.translation[None], 12,
+                     mesh.bounding_center, radius)
+    fit = RigidTransform(r[0], t[0])
     assert fit.det == true.det
     gap = np.linalg.norm(fit.apply(mesh.vertices) - true.apply(mesh.vertices), axis=1).max()
     assert gap < 1e-3 * radius
@@ -697,12 +740,13 @@ def test_refit_distances_hold_under_the_returned_fit(rotation):
     mesh, _, moving, targets, normals, trees, start = stacked_refit_case(rotation)
     radius = mesh.bounding_radius
     for max_iter, bound in ((12, _REFIT_STEP * radius), (1, 0.0)):
-        fit, dists = _refit(moving, targets, normals, trees, start, max_iter,
-                            mesh.bounding_center, radius)
+        r, t, dists = _refit(moving, targets, normals, trees, start.rotation[None], start.translation[None],
+                             max_iter, mesh.bounding_center, radius)
+        fit = RigidTransform(r[0], t[0])
         assert len(dists) == len(moving)
         for (cloud, j), dist in zip(moving, dists):
             fresh = trees[j].query(fit.apply(cloud))[0]
-            assert np.abs(dist - fresh).max() <= bound
+            assert np.abs(dist[0] - fresh).max() <= bound
 
 
 def test_point_to_plane_refit_keeps_reflection():
@@ -728,10 +772,11 @@ def test_point_to_plane_refit_keeps_reflection():
         y_rotation(0.05) @ mirror, np.array([0.02, -0.01, 0.015])
     )
     tree = cKDTree(dst)
-    fit, _ = _refit(
-        [(src, 0)], [dst], [mesh.face_normals[faces]], [tree], start, 12,
+    r, t, _ = _refit(
+        [(src, 0)], [dst], [mesh.face_normals[faces]], [tree], start.rotation[None], start.translation[None], 12,
         mesh.bounding_center, mesh.bounding_radius,
     )
+    fit = RigidTransform(r[0], t[0])
     assert fit.det == -1.0
     gap = np.linalg.norm(fit.apply(base) - base @ mirror.T, axis=1).max()
     assert gap < 1e-3 * mesh.bounding_radius
