@@ -33,7 +33,7 @@ from .descriptor import DescriptorNet, extract_features, predict_probs, train_de
 from .errors import ConfigError, InterchangeError, MatsegError, UnknownComponentError
 from .evaluation import EvalReport, confusion_matrix, top1_accuracy
 from .geodesics import geodesic_pairs, load_distance_pairs, save_distance_pairs
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, record_line, write_jsonl
 from .materials import MaterialLabelSet, multihot
 from .mesh import attach_labels, compute_adjacency, load_labels, load_obj, save_labels, save_obj
 from .sampling import (
@@ -389,6 +389,10 @@ def _cmd_infer(args, config: PipelineConfig) -> int:
 def _cmd_eval(args, config: PipelineConfig) -> int:
     top1, _, _ = load_face_predictions(args.pred)
     truth = read_face_truth(args.truth)
+    if len(truth) != len(top1):
+        # a longer truth file is to blame from its first line past the predicted faces
+        line = record_line(args.truth, len(top1)) if len(truth) > len(top1) else None
+        raise InterchangeError(args.truth, f"{len(truth)} faces, but {args.pred} predicts {len(top1)}", line)
     report = EvalReport()
     report.top1 = top1_accuracy(top1, truth)
     report.confusion = confusion_matrix(top1, truth)

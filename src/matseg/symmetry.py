@@ -3,27 +3,29 @@
 Hypotheses come from one anchor component, after Mitra, Guibas & Pauly
 ("Partial and Approximate Symmetry Detection for 3D Geometry", SIGGRAPH
 2006): every symmetry of the shape maps the anchor onto a congruent
-component, so ICP fits of the anchor onto each congruent partner propose
-the shape's symmetries, as far as the starts reach them. One fitter serves
-every fit: point-to-plane ICP (Chen & Medioni 1992; Rusinkiewicz & Levoy,
-3DIM 2001), run on a stack of motions at once. The starts are one stack of
-transforms, a ring of turns about the upright axis, each alone and composed
-with the x or the y mirror (the z mirror is the x mirror turned half way, a
-start the ring already has), all fitted from one shared source cloud; a
-start still two gates off after its first step is abandoned. A component
-that stays on itself under a turn finer than the ring (a round top) would
-propose its own turns, so another serves as anchor where one can. The fits
-are clustered, and each cluster's chordal mean is verified once as it
-stands, with no sharpening fit first: each component is paired with the
-congruent one whose centroid and extent matrix lie nearest its moved ones,
-one joint refit over the stacked correspondences of all those pairs
-polishes the transform, and it survives only if every pair is under the
-gate at the refit's last correspondences. A pair that maps a component onto
-itself is also probed by a refit of that pair alone, which catches a
-component that only the other pairs hold in place. The survivors are
-clustered again, so each distinct symmetry appears once. Its face pairs
-feed the CRF's symmetry factors. Detected symmetries are saved as one JSON
-document, face pairs as JSON lines.
+component, so fits of the anchor onto each congruent partner propose the
+shape's symmetries, as far as the starts reach them. Congruence is one
+component-by-component matrix, from each component's principal extents. One
+fitter serves every fit: point-to-plane ICP (Chen & Medioni 1992;
+Rusinkiewicz & Levoy, 3DIM 2001), stepping a stack of motions at once by
+one stacked minimum-norm solve. The starts are one stack of transforms, a
+ring of turns about the upright axis, each alone and composed with the x or
+the y mirror (the z mirror is the x mirror turned half way, a start the ring
+already has), all fitted from one shared source cloud; a start still two
+gates off after its first step is abandoned. A component that stays on
+itself under a turn finer than the ring (a round top) would propose its own
+turns, so another serves as anchor where one can. The fits are clustered,
+and each cluster's chordal mean is verified once as it stands: every
+component is paired with the congruent one whose centroid and extent matrix
+lie nearest its moved ones, all pairs in one broadcast; one joint refit over
+the stacked correspondences of all those pairs polishes the transform, and
+it survives only if every pair is under the gate at the refit's last
+correspondences. A pair that maps a component onto itself is also probed by
+a refit of that pair alone, which catches a component that only the other
+pairs hold in place. The survivors are clustered again, so each distinct
+symmetry appears once. Its face pairs feed the CRF's symmetry factors.
+Detected symmetries are saved as one JSON document, face pairs as JSON
+lines.
 """
 
 from __future__ import annotations
@@ -158,8 +160,10 @@ def _refit(pairs, targets, normals, trees, rotations, translations, max_iter, ce
     rotation, solves for the small motion (w, v) that best slides all moved
     clouds at once onto the tangent planes of their nearest targets, and
     applies it as ``R <- dR R, t <- dR t + v`` with dR the exact rotation by
-    w, so a reflection stays a reflection. The minimum-norm solve leaves a
-    free direction (a round top spun about its axis) at the start's value.
+    w, so a reflection stays a reflection. Every moving motion takes its
+    step together: one stacked minimum-norm solve, lstsq's cutoff and all,
+    which leaves a free direction (a round top spun about its axis, a flat
+    patch slid in its plane) at the start's value.
     A motion stops when a step moves the bounding sphere by less than
     _REFIT_STEP * radius, when its rmsd after its first step is ``abandon``
     or more, or after ``max_iter`` steps.
@@ -196,33 +200,31 @@ def _refit(pairs, targets, normals, trees, rotations, translations, max_iter, ce
         # columns scaled to the radius so the solve does not depend on units
         a = np.concatenate([np.cross(moved, n) / radius, n], axis=2)
         b = np.einsum("sij,sij->si", nearest - moved, n)
-        stepped = []
-        for k, ak, bk in zip(active, a, b):
-            x = np.linalg.lstsq(ak, bk, rcond=None)[0]
-            w, v = x[:3] / radius, x[3:]
-            dr = Rotation.from_rotvec(w).as_matrix()
-            r[k] = dr @ r[k]
-            t[k] = dr @ t[k] + v
-            # bound on how far any point of the bounding sphere moved this step
-            shift = np.linalg.norm(dr @ center + v - center) + radius * np.linalg.norm(w)
-            stepped.append(shift >= _REFIT_STEP * radius)
-        active = active[np.array(stepped, dtype=bool)]
+        # every motion's minimum-norm step at once, with lstsq's cutoff
+        # (singular values up to eps * max(M, N) of the largest are dropped)
+        x = (np.linalg.pinv(a, rtol=None) @ b[:, :, None])[:, :, 0]
+        w, v = x[:, :3] / radius, x[:, 3:]
+        dr = Rotation.from_rotvec(w).as_matrix()
+        r[active] = dr @ r[active]
+        t[active] = (dr @ t[active, :, None])[:, :, 0] + v
+        # bound on how far any point of the bounding sphere moved this step
+        shift = np.linalg.norm(dr @ center + v - center, axis=1) + radius * np.linalg.norm(w, axis=1)
+        active = active[shift >= _REFIT_STEP * radius]
     return r, t, dists
 
 
-def _moments(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A cloud's centroid c, extent matrix E = V sqrt(L) V^T (the symmetric
-    square root of its covariance V L V^T) and extents sqrt(L) along its
-    principal axes. A motion (R, t) maps (c, E) to (R c + t, R E R^T)."""
-    lam, v = np.linalg.eigh(np.cov(cloud, rowvar=False))
+def _moments(clouds: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cloud's centroid c, extent matrix E = V sqrt(L) V^T (the
+    symmetric square root of its covariance V L V^T) and extents sqrt(L)
+    along its principal axes, stacked; a cloud of fewer than 3 points reads
+    zeros. A motion (R, t) maps (c, E) to (R c + t, R E R^T)."""
+    centroids, covariances = np.zeros((len(clouds), 3)), np.zeros((len(clouds), 3, 3))
+    for k, cloud in enumerate(clouds):
+        if len(cloud) >= 3:
+            centroids[k], covariances[k] = cloud.mean(axis=0), np.cov(cloud, rowvar=False)
+    lam, v = np.linalg.eigh(covariances)
     extents = np.sqrt(np.clip(lam, 0.0, None))
-    return cloud.mean(axis=0), (v * extents) @ v.T, extents
-
-
-def _congruent(a: np.ndarray, b: np.ndarray, accept: float) -> bool:
-    """Extents close enough, axis by axis, that the clouds may fit under
-    the rmsd gate; a gross mismatch cannot, so it skips the fits."""
-    return bool(np.all(np.abs(a - b) <= np.maximum(0.25 * np.maximum(a, b), 2.0 * accept)))
+    return centroids, (v * extents[:, None, :]) @ v.transpose(0, 2, 1), extents
 
 
 def _spins(source: np.ndarray, target: np.ndarray, tree: cKDTree, accept: float) -> bool:
@@ -250,38 +252,34 @@ def detect_symmetries(
 ) -> list[DetectedSymmetry]:
     """Find rotational and reflective symmetries between components.
 
-    The anchor is the component with the fewest congruent partners
-    (principal extents that agree); ties go to the largest area, then the
-    lowest index. A component that a turn of half the ring's step about
-    the upright axis keeps on itself under the gate is passed over when
-    another will serve. The anchor's cloud is fitted onto every partner
-    from 24 starts, run as one stack on that one cloud: 8 turns about the
-    upright axis, each alone and composed with the x and the y mirror,
-    each with the translation that carries the anchor's centroid onto the
-    partner's. Each start, like every fit here, is a point-to-plane refit
-    (see _refit) of at most ``max_iter`` steps; one whose rmsd after its
-    first step is _ABANDON_GATES gates or more stops there. Fits with rmsd
-    below ``rmsd_threshold * bounding_radius`` are kept, and for a partner
-    other than the anchor each is followed by its inverse, which stands for
-    the pair (partner, anchor). Near-identity and translation-only fits are
-    discarded, and the survivors clustered by angle/axis/translation
-    proximity into distinct transforms.
+    Two components are congruent when their principal extents agree, axis
+    by axis, within a quarter of the larger or two gates. The anchor is the
+    component with the fewest congruent partners, then the largest area,
+    then the lowest index; one that a turn of half the ring's step about the
+    upright axis keeps on itself under the gate is passed over when another
+    will serve. Its cloud is fitted onto every partner from 24 starts, one
+    stack on that one cloud: 8 turns about the upright axis, each alone and
+    composed with the x and the y mirror, each translated to carry the
+    anchor's centroid onto the partner's. Each start, like every fit here,
+    is a point-to-plane refit (see _refit) of at most ``max_iter`` steps;
+    one whose rmsd after its first step is _ABANDON_GATES gates or more
+    stops there. Fits under the gate, ``rmsd_threshold * bounding_radius``,
+    are kept, one onto a partner other than the anchor followed by its
+    inverse (the pair partner, anchor); near-identities and translations
+    are dropped, and the rest clustered by angle/axis/translation proximity.
 
-    Each cluster's averaged transform goes straight to verification on the
-    whole shape, in the order of the clusters' best fits, those of the
-    anchor's cloud first; that order numbers the transform ids. A transform
-    survives only if it maps every component onto a congruent component
-    under the gate, so congruences private to one pair (a cylindrical leg
-    spun onto itself) do not count as shape symmetries.
-    Each component's target is the partner whose centroid and extent matrix
-    lie nearest its own moved ones, within two gates. One point-to-plane
-    refit of the transform runs over the stacked correspondences of all
-    those (component, target) pairs, each moving every fourth point of the
-    component's dense cloud; every pair's rmsd on that strided cloud, from
-    the refit's last query, must be under the gate. A pair that maps a
-    component onto itself is also refitted alone from the joint fit, and
-    dropped if that probe moves the component's sparse cloud by the gate
-    (rms). The surviving pairs are clustered again.
+    Each cluster's averaged transform is verified on the whole shape as it
+    stands, in the order of the clusters' best fits, those of the anchor's
+    cloud first; that order numbers the transform ids. Each component's
+    target is the congruent partner whose centroid and extent matrix lie
+    nearest its moved ones, within two gates (see _pairing). One refit runs
+    over the stacked correspondences of all those pairs, each moving every
+    fourth point of the component's dense cloud, and every pair's rmsd at
+    its last query must be under the gate: congruences private to one pair
+    (a cylindrical leg spun onto itself) do not count as shape symmetries.
+    A pair that maps a component onto itself is also refitted alone from
+    the joint fit, and dropped if that probe moves the component's sparse
+    cloud by the gate (rms). The surviving pairs are clustered again.
     """
     rng = np.random.default_rng(seed)
     radius = mesh.bounding_radius
@@ -301,22 +299,23 @@ def detect_symmetries(
     accept = rmsd_threshold * radius
 
     trees = [cKDTree(t) if len(t) >= 3 else None for t in targets]
-    moments = [None if tree is None else _moments(t) for t, tree in zip(targets, trees)]
-    valid = [c for c in range(n_comp) if len(sources[c]) >= 3 and trees[c] is not None]
-    if not valid:
+    centroids, extent_matrices, extents = _moments(targets)
+    # congruent[c, j]: component c's cloud may fit onto j's under the gate.
+    # A gross mismatch of principal extents, axis by axis, cannot, so it is
+    # never fitted or checked; a row is all False when c has no cloud to fit
+    has_tree = np.array([tree is not None for tree in trees])
+    valid = has_tree & np.array([len(cloud) >= 3 for cloud in sources])
+    a, b = extents[:, None, :], extents[None, :, :]
+    congruent = valid[:, None] & has_tree[None, :] & np.all(
+        np.abs(a - b) <= np.maximum(0.25 * np.maximum(a, b), 2.0 * accept), axis=2)
+    if not valid.any():
         return []
-    # the targets each component's cloud may fit under the gate; a gross
-    # mismatch of principal extents cannot, so it is never fitted or checked
-    partners = [
-        [j for j in range(n_comp) if trees[j] is not None
-         and _congruent(moments[c][2], moments[j][2], accept)] if c in valid else []
-        for c in range(n_comp)
-    ]
     # a component that a turn of half the ring's step keeps on itself (a
     # round top) is passed over as anchor when another will serve: its fits
     # land on its own turn nearest each start, which the shape may not share
-    areas = [float(mesh.face_areas[mesh.component_faces(c)].sum()) for c in range(n_comp)]
-    order = sorted(valid, key=lambda c: (len(partners[c]), -areas[c], c))
+    areas = np.bincount(mesh.face_component, weights=mesh.face_areas, minlength=n_comp)
+    order = np.lexsort((-areas, congruent.sum(axis=1)))
+    order = order[valid[order]].tolist()
     anchor = next((c for c in order if not _spins(sources[c], targets[c], trees[c], accept)), order[0])
 
     # the starts, mirrors outer and turns inner (a turn composed with a
@@ -329,7 +328,7 @@ def detect_symmetries(
     turned_centroid = starts @ cloud.mean(axis=0)
     # candidate rows: rotation, translation, source, target, rmsd
     columns = []
-    for j in partners[anchor]:
+    for j in np.flatnonzero(congruent[anchor]).tolist():
         r, t, dists = _refit(
             [(cloud, j)], targets, normals, trees, starts, targets[j].mean(axis=0) - turned_centroid,
             max_iter, center, radius, abandon=_ABANDON_GATES * accept,
@@ -354,22 +353,15 @@ def detect_symmetries(
     for sym in sorted(_cluster(*candidates, radius), key=lambda s: (s.source_component != anchor, s.rmsd)):
         reps.setdefault(sym.transform_id, sym.transform)
 
-    # a pair of congruent components (two identical legs, a cylinder onto
-    # itself at any offset) fits under the gate without being a symmetry of the
-    # shape; keep only transforms that map every component onto matching
-    # geometry. The moment pairing's (component, target) pairs share one
-    # motion: one refit over all of them polishes it, and the distances of its
-    # last query, within _REFIT_STEP * radius of those under the returned fit,
-    # gate every pair on its strided cloud; one pair over the gate rejects the
-    # transform. Re-clustering merges duplicates, and fits that slid toward the
-    # identity meet the trivial gate again. The other pairs can hold a
-    # component where alone it would slide (a 16-gon top under the shape's
-    # 120-degree turn), so a pair onto itself is dropped when its own refit
-    # from the joint fit moves its sparse cloud by the gate (rms), to a
-    # congruence of that component alone (the top's own 112.5 degrees).
+    # the joint refit's last distances lie within _REFIT_STEP * radius of
+    # those under the returned fit. Re-clustering merges duplicates, and fits
+    # that slid toward the identity meet the trivial gate again. The other
+    # pairs can hold a component where alone it would slide (a 16-gon top
+    # under the shape's 120-degree turn): its probe slides it to a congruence
+    # of that component alone (the top's own 112.5 degrees).
     refit = []  # rows as the candidates': rotation, translation, source, target, rmsd
     for rep in reps.values():
-        pairs = _pairing(rep, moments, valid, partners, _PAIRING_GATES * accept)
+        pairs = _pairing(rep, centroids, extent_matrices, congruent, _PAIRING_GATES * accept)
         if pairs is None:
             continue
         moving = [(targets[c][::_REFIT_STRIDE], j) for c, j in pairs]
@@ -389,21 +381,22 @@ def detect_symmetries(
     return _cluster(*(np.array(column) for column in zip(*refit)), radius) if refit else []
 
 
-def _pairing(rep, moments, valid, partners, tol):
-    """The (component, target) pair of each component i in ``valid`` under
-    ``rep`` = (R, t): the partner j nearest by the moments (see _moments),
-    hypot(|R c_i + t - c_j|, ||R E_i R^T - E_j||_F). None when some
-    component's target lies ``tol`` or more away."""
+def _pairing(rep, centroids, extent_matrices, congruent, tol):
+    """The (component, target) pair of each component c with a congruent
+    partner under ``rep`` = (R, t): the partner j nearest by the moments (see
+    _moments), hypot(|R c_c + t - c_j|, ||R E_c R^T - E_j||_F), the lowest j
+    on ties. None when some component's target lies ``tol`` or more away."""
+    rows = np.flatnonzero(congruent.any(axis=1))
     r = rep.rotation
-    pairs = []
-    for c in valid:
-        centroid, extent = rep.apply(moments[c][0]), r @ moments[c][1] @ r.T
-        gaps = [math.hypot(np.linalg.norm(centroid - moments[j][0]), np.linalg.norm(extent - moments[j][1]))
-                for j in partners[c]]
-        if min(gaps) >= tol:
-            return None
-        pairs.append((c, partners[c][int(np.argmin(gaps))]))
-    return pairs
+    moved_centroids = rep.apply(centroids[rows])
+    moved_extents = r @ extent_matrices[rows] @ r.T
+    gaps = np.hypot(np.linalg.norm(moved_centroids[:, None] - centroids, axis=2),
+                    np.linalg.norm(moved_extents[:, None] - extent_matrices, axis=(2, 3)))
+    gaps = np.where(congruent[rows], gaps, np.inf)
+    nearest = gaps.argmin(axis=1)
+    if (gaps[np.arange(len(rows)), nearest] >= tol).any():
+        return None
+    return list(zip(rows.tolist(), nearest.tolist()))
 
 
 def _cluster(rotations, translations, sources, targets, rmsds, radius: float) -> list[DetectedSymmetry]:

@@ -278,6 +278,32 @@ def test_cli_eval_rejects_bad_truth(tmp_path, caplog, truth, message):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("n_truth, blank, message", [
+    (1, False, ": 1 faces, but {pred} predicts 3"),
+    (5, False, ", line 4: 5 faces, but {pred} predicts 3"),
+    (5, True, ", line 5: 5 faces, but {pred} predicts 3"),
+])
+def test_cli_eval_names_truth_of_another_face_count(tmp_path, caplog, n_truth, blank, message):
+    """A truth file whose face count is not the predictions' is named with
+    both counts; a longer one also with its first line past the predicted
+    faces, counted as read_jsonl counts lines (a blank one included)."""
+    names = ("wood", "plastic", "metal", "glass", "fabric")
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text("".join(json.dumps({"face": f, "top1": "wood", "label_set": ["wood"],
+                                        "marginals": {n: 0.2 for n in names}}) + "\n" for f in range(3)),
+                    encoding="utf-8")
+    lines = [json.dumps({"face": f, "labels": ["wood"]}) for f in range(n_truth)]
+    path = tmp_path / "face_truth.jsonl"
+    path.write_text("\n".join(lines[:1] + [""] * blank + lines[1:]) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert cli.main(["eval", "--pred", str(pred), "--truth", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{path}{message.format(pred=pred)}"]
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "report.json").exists()
+
+
 def infer_ready_shape(tmp_path):
     """A synthesized shape with samples, geodesic pairs, flat probabilities
     and predictions: every file that infer and eval read."""

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -21,6 +23,8 @@ from matseg.symmetry import (
     DetectedSymmetry,
     RigidTransform,
     _cluster,
+    _moments,
+    _pairing,
     _refit,
     angle_axes,
     detect_symmetries,
@@ -161,6 +165,20 @@ def test_icp_keeps_reflection_sign():
                          12, mesh.bounding_center, mesh.bounding_radius)
     assert np.sqrt(np.mean(dists[0] ** 2)) < 1e-9
     assert RigidTransform(r[0], t[0]).det == -1.0
+
+
+def test_refit_leaves_free_directions_at_the_start():
+    """A flat patch refitted onto itself pins only its tilt and its offset
+    along the normal: the minimum-norm step keeps the start's turn about the
+    normal and its slide in the plane, and takes the offset to 0."""
+    corners = np.array([[-0.5, 0.3, -0.5], [0.5, 0.3, -0.5], [0.5, 0.3, 0.5], [-0.5, 0.3, 0.5]])
+    mesh = build_mesh(corners, np.array([[0, 2, 1], [0, 3, 2]]), ("patch",), np.zeros(2, dtype=np.int64))
+    dense, faces = component_cloud(mesh, 0, 2048, np.random.default_rng(6))
+    start = y_rotation(math.radians(10.0))
+    r, t, _ = _refit([(dense[::4], 0)], [dense], [mesh.face_normals[faces]], [cKDTree(dense)], start[None],
+                     np.array([[0.05, 0.01, -0.03]]), 12, mesh.bounding_center, mesh.bounding_radius)
+    assert np.abs(r[0] - start).max() <= 1e-12
+    assert np.abs(t[0] - [0.05, 0.0, -0.03]).max() <= 1e-12
 
 
 def box_starts(mesh, rng):
@@ -308,6 +326,57 @@ def test_cluster_matches_the_record_by_record_grouping():
     assert min(clusters) == 1 and max(clusters) >= 5
     empty = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int), np.zeros(0)
     assert _cluster(*empty, radius) == []
+
+
+def loop_gaps(rep, moments, c, partners):
+    """The moment gap of component c under ``rep`` to each of ``partners``."""
+    r = rep.rotation
+    centroid, extent = rep.apply(moments[c][0]), r @ moments[c][1] @ r.T
+    return [math.hypot(np.linalg.norm(centroid - moments[j][0]), np.linalg.norm(extent - moments[j][1]))
+            for j in partners]
+
+
+def loop_pairing(rep, moments, valid, partners, tol):
+    """_pairing one component and one partner at a time, from per-component
+    (centroid, extent matrix) moments and partner lists."""
+    pairs = []
+    for c in valid:
+        gaps = loop_gaps(rep, moments, c, partners[c])
+        if min(gaps) >= tol:
+            return None
+        pairs.append((c, partners[c][int(np.argmin(gaps))]))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 7), identity=st.booleans())
+def test_pairing_matches_the_per_component_loop(seed, n_comp, identity):
+    """Random clouds, some copies of a lower component's so that gaps tie
+    (under the identity each copy ties with its original, and the lower
+    index wins), random congruence with rows of no partner at all, and
+    gates below, between and above the components' nearest gaps."""
+    rng = np.random.default_rng(seed)
+    clouds = [rng.normal(size=(12, 3)) * rng.uniform(0.05, 0.5, size=3) + rng.normal(size=3)
+              for _ in range(n_comp)]
+    for c in range(1, n_comp):
+        if rng.random() < 0.4:
+            clouds[c] = clouds[int(rng.integers(c))]
+    centroids, extent_matrices, _ = _moments(clouds)
+    valid = rng.random(n_comp) < 0.8
+    congruent = (rng.random((n_comp, n_comp)) < 0.6) | np.eye(n_comp, dtype=bool)
+    congruent[~valid] = False
+    rep = RigidTransform(np.eye(3), np.zeros(3))
+    if not identity:
+        rotation = Rotation.from_rotvec(rng.normal(size=3)).as_matrix() * rng.choice([-1.0, 1.0])
+        rep = RigidTransform(rotation, rng.normal(scale=0.3, size=3))
+    moments = list(zip(centroids, extent_matrices))
+    partners = [np.flatnonzero(row).tolist() for row in congruent]
+    valid = np.flatnonzero(valid).tolist()
+    # 1.0 leaves one gate when no component has a partner
+    nearest = np.unique([min(loop_gaps(rep, moments, c, partners[c])) for c in valid] + [1.0])
+    for tol in [0.5 * nearest[0], *(0.5 * (nearest[1:] + nearest[:-1])), 2.0 * nearest[-1]]:
+        want = loop_pairing(rep, moments, valid, partners, tol)
+        assert _pairing(rep, centroids, extent_matrices, congruent, tol) == want
 
 
 def component_centroids(mesh) -> np.ndarray:
